@@ -337,9 +337,8 @@ def _strong_conditions(args):
     p = _resolve_params(args, default_geff=5.0)
     init = _resolve_initial(args, default_ratio=1.5)
     grid = _resolve_grid(args, default_t_max=3.0, default_steps=600)
-    damp = np.exp(-p.kappa * grid / 2.0)
-    atoms = 1.0 - np.cos(p.g_eff * grid) ** 2 * damp
-    cavities = 1.0 - np.sin(p.g_eff * grid) ** 2 * damp
+    e2, g2, _ = amplitudes_strong(grid, p)
+    atoms, cavities = 1.0 - e2, 1.0 - g2
     line = np.full_like(grid, init.alpha / init.beta)
     records = list(zip(grid, atoms, cavities, line))
     cfg = _base_config(args, p, init, t_max=grid[-1], steps=len(grid) - 1)

@@ -6,21 +6,16 @@ concurrence: bisection needs sign changes, not flat zeros.  A pair is
 entangled where lambda_- < 0.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+# minimize_scalar is unused here; the benchmark tracer (bench/spans.py) wraps it
+from scipy.optimize import brentq, minimize_scalar  # noqa: F401
 
 from .amplitudes import SystemParams, exact_squares
 from .errors import ConfigError
-from .jointstate import (
-    DIAGONAL_PAIRS,
-    InitialAmplitudes,
-    PAIR_LABELS,
-    lambda_minus,
-    pair_concurrence,
-)
+from .jointstate import DIAGONAL_PAIRS, PAIR_LABELS, lambda_minus
 
 # concurrence below this counts as unentangled (numerical floor of the
 # closed forms)
@@ -51,22 +46,41 @@ def _lambda_on_grid(pair, init, p, grid):
 
 
 def concurrence_series(pair, init, p, grid):
-    """Concurrence of ``pair`` at each grid point.
+    """Concurrence of any of the 15 ``pair`` labels at each grid point.
 
-    Closed forms are used for a1a2/c1c2/r1r2; every other pair goes
-    through the partial-trace route.
+    Every reduced pair state is an X state, so each concurrence follows in
+    closed form from the squared amplitudes (Yu & Eberly, QIC 7, 459
+    (2007)): C = 2 max(0, |rho_03| - sqrt(rho_11 rho_22),
+    |rho_12| - sqrt(rho_00 rho_33)) in the basis |00>, |01>, |10>, |11>.
+    With x^2, y^2 the squared amplitudes (|E|^2, |G|^2 or R^2) of the two
+    subsystems:
+
+    * same chain (a1c1, c1r1, ...): one excitation is shared within the
+      chain, so rho_03 = rho_33 = 0, rho_11 = beta^2 y^2,
+      rho_22 = beta^2 x^2 and |rho_12| = beta^2 |x y|, giving
+      C = 2 beta^2 sqrt(x^2 y^2);
+    * different chains (a1a2, a1c2, ...): the coherence alpha beta x y
+      links |00> and |11>, and rho_11 rho_22 =
+      beta^4 x^2 y^2 (1 - x^2)(1 - y^2), giving
+      C = max(0, -2 beta sqrt(x^2 y^2) (beta sqrt((1 - x^2)(1 - y^2)) - alpha)),
+      which for x = y is max(0, -2 lambda_-) of ``lambda_minus``.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("empty time grid")
     if np.any(np.diff(grid) <= 0) or grid[0] < 0:
         raise ValueError("grid must be strictly increasing and start at t >= 0")
-    if pair in DIAGONAL_PAIRS:
-        lam = _lambda_on_grid(pair, init, p, grid)
-        return np.maximum(0.0, -2.0 * lam)
     if pair not in PAIR_LABELS:
         raise ValueError(f"unknown pair label {pair!r}")
-    return np.array([pair_concurrence(pair, t, init, p) for t in grid])
+    squares = exact_squares(grid, p)
+    x2, y2 = (squares["acr".index(pair[k])] for k in (0, 2))
+    a, b = init.alpha, init.beta
+    xy = np.sqrt(x2 * y2)
+    if pair[1] == pair[3]:          # same chain
+        return 2.0 * b**2 * xy
+    # |E|^2 can round to 1 + 4e-16 near t = 0, making the product negative
+    rest = np.sqrt(np.maximum(0.0, (1.0 - x2) * (1.0 - y2)))
+    return np.maximum(0.0, -2.0 * b * xy * (b * rest - a))
 
 
 def _detection_grid(p, horizon, n_points, min_points_per_period):
@@ -186,20 +200,21 @@ def _phase_horizon(p):
 
 def cavity_boundary(gamma, kappa=1.0):
     """Minimum over t of 1 - |G_t|^2 with exact amplitudes: the critical
-    alpha/beta ratio above which the cavities entangle."""
+    alpha/beta ratio above which the cavities entangle.
+
+    |G_t|^2 = g_eff^2 |sin(w t) / w|^2 e^{-kappa t / 2} (w = omega_bar)
+    takes its largest value at its first peak, where tan(w t) = 4 w / kappa:
+    t* = arctan(4 w / kappa) / w, which is tanh(nu t*) = 4 nu / kappa when
+    overdamped (w = i nu) and t* = 4 / kappa at critical damping.
+    """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     p = _phase_params(gamma, kappa)
-    horizon = _phase_horizon(p)
-    ts = np.linspace(0.0, horizon, 4001)
-    vals = 1.0 - exact_squares(ts, p)[1]
-    i = int(np.argmin(vals))
-    lo = ts[max(i - 1, 0)]
-    hi = ts[min(i + 1, len(ts) - 1)]
-    res = minimize_scalar(lambda t: 1.0 - exact_squares(t, p)[1],
-                          bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-8 * max(1.0, hi)})
-    return float(min(res.fun, vals[i]))
+    ob = p.omega_bar
+    z = 4.0 * ob / p.kappa
+    # arctan(z) / w = (4 / kappa)(1 - z^2 / 3 + ...)
+    t_peak = 4.0 / p.kappa if abs(z) < 1e-8 else (np.arctan(z) / ob).real
+    return float(1.0 - exact_squares(t_peak, p)[1])
 
 
 def cavity_phase(gamma, ratio):
@@ -279,7 +294,7 @@ class PhaseDiagram:
     gammas: np.ndarray
     ratios: np.ndarray
     entangled: np.ndarray            # bool, shape (len(gammas), len(ratios))
-    boundary: np.ndarray = field(default=None)  # critical ratio per gamma
+    boundary: np.ndarray             # critical ratio per gamma
 
 
 def phase_diagram(gammas, ratios):

@@ -176,10 +176,6 @@ def pair_concurrence(pair, t, init, p):
     return qops.wootters_concurrence(reduced_pair(joint_state(t, init, p), pair))
 
 
-# the brute-force route is the only one available for interacting pairs
-interacting_concurrence = pair_concurrence
-
-
 def global_tangle(t, init, p):
     """I-concurrence across the chain bipartition (a1,c1,r1) x (a2,c2,r2).
 

@@ -158,7 +158,11 @@ def wootters_concurrence(rho):
 def negativity_concurrence(rho):
     """max(0, -2 * min eigenvalue of the partial transpose).
 
-    Equals the Wootters concurrence on two-qubit X-form states.
+    On a two-qubit X state it is positive exactly when the Wootters
+    concurrence is; where both are positive they are equal only if the
+    entangling coherence links equally populated states: rho[1,1] =
+    rho[2,2] for a |00>-|11> coherence, rho[0,0] = rho[3,3] for a
+    |01>-|10> one.
     """
     rho = validate_density_matrix(rho, dim=4)
     pt = partial_transpose(rho, (2, 2), 1)

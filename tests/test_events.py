@@ -20,7 +20,12 @@ from entransfer.events import (
     phase_diagram,
     weak_event_times,
 )
-from entransfer.jointstate import InitialAmplitudes, lambda_minus
+from entransfer.jointstate import (
+    PAIR_LABELS,
+    InitialAmplitudes,
+    lambda_minus,
+    pair_concurrence,
+)
 
 P_STRONG = SystemParams.from_geff(5.0)
 P_WEAK = SystemParams.from_geff(0.1)
@@ -122,13 +127,25 @@ class TestDetectEvents:
 
 class TestConcurrenceSeries:
     def test_matches_brute_force(self):
+        # the closed forms against partial trace + Wootters of the joint
+        # state: overdamped, critical damping, underdamped
         init = InitialAmplitudes.from_ratio(1.5)
-        grid = np.linspace(0.0, 2.0, 21)
-        from entransfer.jointstate import pair_concurrence
-        for pair in ("a1a2", "a1c1"):
-            series = concurrence_series(pair, init, P_STRONG, grid)
-            brute = [pair_concurrence(pair, t, init, P_STRONG) for t in grid]
-            assert np.max(np.abs(series - np.array(brute))) < 1e-8
+        for gamma, horizon in ((0.1, 60.0), (0.25, 20.0), (5.0, 2.0)):
+            p = SystemParams.from_geff(gamma)
+            grid = np.linspace(0.0, horizon, 21)
+            for pair in PAIR_LABELS:
+                series = concurrence_series(pair, init, p, grid)
+                brute = [pair_concurrence(pair, t, init, p) for t in grid]
+                assert np.max(np.abs(series - np.array(brute))) < 1e-12, (gamma, pair)
+
+    def test_finite_where_a_square_rounds_above_one(self):
+        # |E|^2 = 1 + 4e-16 here; (1 - |E|^2)(1 - |G|^2) must not give NaN
+        p = SystemParams.from_geff(0.05)
+        grid = np.array([0.0, 6.102942482766755e-08])
+        assert exact_squares(grid, p)[0][1] > 1.0
+        init = InitialAmplitudes.from_ratio(1.5)
+        for pair in ("a1c2", "a1r2", "a1a2"):
+            assert np.all(np.isfinite(concurrence_series(pair, init, p, grid)))
 
     def test_rejects_bad_grid(self):
         init = InitialAmplitudes.from_ratio(1.5)
@@ -139,7 +156,7 @@ class TestConcurrenceSeries:
 class TestCavityPhase:
     def test_boundary_matches_direct_scan(self):
         # boundary = min_t (1 - |G|^2), checked against a dense scan
-        for gamma in (0.1, 0.3):
+        for gamma in (0.1, 0.25, 0.3):
             p = SystemParams.from_geff(gamma)
             ts = np.linspace(0.0, 100.0, 200001)
             scan = np.min(1.0 - exact_squares(ts, p)[1])
