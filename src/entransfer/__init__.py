@@ -48,12 +48,10 @@ from .jointstate import (
 from .oracle import (
     CollectiveChain,
     ReservoirDiscretization,
-    amplitude_max_error,
     build_hamiltonian,
     collective_chain,
+    discretized_errors,
     evolve,
-    extract_amplitudes,
-    leakage_bound,
     lindblad_evolve,
     lindblad_max_error,
 )
@@ -71,7 +69,7 @@ __all__ = [
     "concurrence_closed", "cross_concurrence_closed", "global_tangle",
     "joint_state", "lambda_minus", "pair_concurrence", "reduced_pair",
     "rho_closed",
-    "CollectiveChain", "ReservoirDiscretization", "amplitude_max_error",
-    "build_hamiltonian", "collective_chain", "evolve", "extract_amplitudes",
-    "leakage_bound", "lindblad_evolve", "lindblad_max_error",
+    "CollectiveChain", "ReservoirDiscretization", "build_hamiltonian",
+    "collective_chain", "discretized_errors", "evolve", "lindblad_evolve",
+    "lindblad_max_error",
 ]

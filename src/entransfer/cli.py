@@ -38,13 +38,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_VALIDATION = 3
 
-# preset number -> (subcommand, overrides); numbers follow the reference
-# figure sequence: 3/4 strong-coupling concurrences, 5 strong conditions,
-# 6 weak cavity condition, 7 phase diagram, 8 weak-vs-exact, 9 weak
-# concurrences with dead window, 10 interacting pairs
-FIGURE_NUMBERS = (3, 4, 5, 6, 7, 8, 9, 10)
-
-
 def _float_cell(x):
     if isinstance(x, str):
         return x
@@ -141,7 +134,7 @@ def build_parser():
                  "phase-diagram", "validate"):
         _add_common(sub.add_parser(name))
     fig = sub.add_parser("figure")
-    fig.add_argument("number", type=int, choices=FIGURE_NUMBERS)
+    fig.add_argument("number", type=int, choices=tuple(FIGURES))
     _add_common(fig)
     return parser
 
@@ -319,8 +312,7 @@ def cmd_validate(args):
     d = oracle.ReservoirDiscretization(n_modes=n_modes, bandwidth=bandwidth,
                                        kappa=kappa)
     d.validate(p, t_max, strict=False)
-    amp_err = oracle.amplitude_max_error(p, d, t_max)
-    leak = oracle.leakage_bound(p, d, t_max)
+    amp_err, leak = oracle.discretized_errors(p, d, t_max)
     lind_grid = np.linspace(t_max / 50.0, t_max, 50)
     lind_err = oracle.lindblad_max_error(p, lind_grid)
     passed = amp_err <= tol and lind_err <= tol
@@ -381,33 +373,29 @@ def _figure_overrides(args, **defaults):
     return args
 
 
+# preset number -> (handler, flag defaults); numbers follow the reference
+# figure sequence: 3/4 strong-coupling concurrences, 5 strong conditions,
+# 6 weak cavity condition, 7 phase diagram, 8 weak-vs-exact, 9 weak
+# concurrences with dead window, 10 interacting pairs
+FIGURES = {
+    3: (cmd_concurrence, dict(geff=5.0, ratio=1.0, t_max=3.0, steps=600,
+                              pairs="a1a2,c1c2,r1r2")),
+    4: (cmd_concurrence, dict(geff=5.0, ratio=1.5, t_max=3.0, steps=600,
+                              pairs="a1a2,c1c2,r1r2")),
+    5: (_strong_conditions, {}),
+    6: (_weak_condition, {}),
+    7: (cmd_phase_diagram, {}),
+    8: (_weak_vs_exact, {}),
+    9: (cmd_concurrence, dict(geff=0.1, ratio=3.0, t_max=60.0, steps=600,
+                              pairs="a1a2,c1c2,r1r2")),
+    10: (cmd_concurrence, dict(geff=0.1, ratio=3.0, t_max=60.0, steps=600,
+                               pairs="a1c1,c1r1,a1a2,r1r2")),
+}
+
+
 def cmd_figure(args):
-    n = args.number
-    if n == 3:
-        return cmd_concurrence(_figure_overrides(
-            args, geff=5.0, ratio=1.0, t_max=3.0, steps=600,
-            pairs="a1a2,c1c2,r1r2"))
-    if n == 4:
-        return cmd_concurrence(_figure_overrides(
-            args, geff=5.0, ratio=1.5, t_max=3.0, steps=600,
-            pairs="a1a2,c1c2,r1r2"))
-    if n == 5:
-        return _strong_conditions(args)
-    if n == 6:
-        return _weak_condition(args)
-    if n == 7:
-        return cmd_phase_diagram(args)
-    if n == 8:
-        return _weak_vs_exact(args)
-    if n == 9:
-        return cmd_concurrence(_figure_overrides(
-            args, geff=0.1, ratio=3.0, t_max=60.0, steps=600,
-            pairs="a1a2,c1c2,r1r2"))
-    if n == 10:
-        return cmd_concurrence(_figure_overrides(
-            args, geff=0.1, ratio=3.0, t_max=60.0, steps=600,
-            pairs="a1c1,c1r1,a1a2,r1r2"))
-    raise ConfigError(f"no preset for figure {n}")
+    handler, defaults = FIGURES[args.number]
+    return handler(_figure_overrides(args, **defaults))
 
 
 HANDLERS = {

@@ -4,8 +4,13 @@ Two independent oracles:
 
 * exact unitary evolution of the full atom-cavity-reservoir Hamiltonian
   with an explicitly discretized reservoir (flat spectral density,
-  uniform couplings g_k = sqrt(kappa * dw / 2 pi)), evolved by one-time
-  eigendecomposition; and
+  uniform couplings g_k = sqrt(kappa * dw / 2 pi)), evolved by one real
+  eigendecomposition.  Its error against the closed forms has two terms
+  that partly cancel: the dropped intermediate level (~4 g_eff / Delta)
+  and the finite bandwidth B.  Once the recurrence time exceeds the
+  horizon the mode count does not set it: at g_eff = 5, Delta = 1e4,
+  B = 200 the error is 0.0034 with N = 2000 and with N = 4000, and
+  0.0018 with B = 400; and
 * a fixed-step RK4 integration of the dissipative atom-cavity master
   equation in the three-level x two-Fock truncated space.
 
@@ -15,12 +20,13 @@ generated from it by the reservoir free energy (a Lanczos three-term
 recurrence that tridiagonalizes the frequency operator).
 """
 
+import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import SystemParams, exact_squares
+from .amplitudes import amplitudes_exact, exact_squares
 from .errors import ConfigError
 
 
@@ -81,10 +87,21 @@ class ReservoirDiscretization:
 
 def build_hamiltonian(p, d):
     """Single-excitation Hamiltonian over the basis
-    {|e00>, |c00>, |g10>, |g0 1_k>} of dimension 3 + N."""
+    {|e00>, |c00>, |g10>, |g0 1_k>} of dimension 3 + N.
+
+    Every entry is real.  Raises ConfigError, before allocating, when
+    the dense solve (H, its eigenvectors and the LAPACK workspace, about
+    four real matrices) would not fit in physical memory.
+    """
     n = d.n_modes
     dim = 3 + n
-    h = np.zeros((dim, dim), dtype=complex)
+    need = 4 * 8 * dim * dim
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ConfigError(
+            f"{n} reservoir modes need about {need / 1e9:.3g} GB for the dense "
+            f"oracle; physical memory is {have / 1e9:.3g} GB")
+    h = np.zeros((dim, dim))
     h[0, 0] = -p.delta
     h[1, 1] = p.Delta
     h[0, 1] = h[1, 0] = p.Omega
@@ -103,7 +120,7 @@ def evolve(h, psi0, times):
     Diagonalizes once; exact at machine precision for arbitrary t.
     Returns an array of shape (len(times), dim) (or (dim,) for scalar t).
     """
-    h = np.asarray(h, dtype=complex)
+    h = np.asarray(h)
     if np.max(np.abs(h - h.conj().T)) > 1e-10:
         raise ValueError("Hamiltonian is not Hermitian")
     w, v = np.linalg.eigh(h)
@@ -112,14 +129,6 @@ def evolve(h, psi0, times):
     ts = np.atleast_1d(np.asarray(times, dtype=float))
     out = (v @ (np.exp(-1j * np.outer(w, ts)) * c[:, None])).T
     return out[0] if scalar else out
-
-
-def extract_amplitudes(psi):
-    """(E, C, G, R) from a single-excitation state vector; R is the root
-    of the summed reservoir-mode probabilities."""
-    psi = np.asarray(psi, dtype=complex).ravel()
-    return (complex(psi[0]), complex(psi[1]), complex(psi[2]),
-            float(np.linalg.norm(psi[3:])))
 
 
 @dataclass(frozen=True)
@@ -259,44 +268,31 @@ def lindblad_max_error(p, grid, photon_loss=True):
     """Max deviation of the integrated populations/coherences of
     {|e0>, |g1>, |g0>} from the closed-form single-chain matrix."""
     rhos = lindblad_evolve(p, grid, photon_loss=photon_loss)
-    from .amplitudes import amplitudes_exact
-
-    worst = 0.0
-    for t, rho in zip(grid, rhos):
-        amps = amplitudes_exact(t, p)
-        e2, g2, r2 = (abs(amps.E) ** 2, abs(amps.G) ** 2, float(amps.R) ** 2)
-        worst = max(
-            worst,
-            abs(rho[IDX_E0, IDX_E0].real - e2),
-            abs(rho[IDX_G1, IDX_G1].real - g2),
-            abs(rho[IDX_G0, IDX_G0].real - r2),
-            abs(rho[IDX_E0, IDX_G1] - amps.E * np.conj(amps.G)),
-        )
-    return worst
+    amps = amplitudes_exact(np.asarray(grid, dtype=float), p)
+    return float(max(
+        np.max(np.abs(rhos[:, IDX_E0, IDX_E0].real - np.abs(amps.E) ** 2)),
+        np.max(np.abs(rhos[:, IDX_G1, IDX_G1].real - np.abs(amps.G) ** 2)),
+        np.max(np.abs(rhos[:, IDX_G0, IDX_G0].real - amps.R ** 2)),
+        np.max(np.abs(rhos[:, IDX_E0, IDX_G1] - amps.E * np.conj(amps.G))),
+    ))
 
 
-def amplitude_max_error(p, d, horizon, n_samples=201):
-    """Max deviation of the discretized-reservoir squared amplitudes from
-    the closed forms over [0, horizon]."""
+def discretized_errors(p, d, horizon, n_samples=201):
+    """(amplitude_error, leakage) of the discretized-reservoir oracle over
+    ``n_samples`` times in [0, horizon], from one evolution.
+
+    amplitude_error is the max deviation of |E|^2, |G|^2 and R^2 from the
+    closed forms, with R^2 the summed reservoir-mode population; leakage
+    is the max population of the far-detuned intermediate level, the
+    size of the term the closed forms drop.
+    """
     h = build_hamiltonian(p, d)
-    psi0 = np.zeros(h.shape[0], dtype=complex)
+    psi0 = np.zeros(h.shape[0])
     psi0[0] = 1.0
     ts = np.linspace(0.0, horizon, n_samples)
-    states = evolve(h, psi0, ts)
-    worst = 0.0
-    for t, psi in zip(ts, states):
-        e, _, g, r = extract_amplitudes(psi)
-        e2c, g2c, r2c = exact_squares(t, p)
-        worst = max(worst, abs(abs(e) ** 2 - e2c), abs(abs(g) ** 2 - g2c),
-                    abs(r**2 - r2c))
-    return worst
-
-
-def leakage_bound(p, d, horizon, n_samples=201):
-    """Max population of the far-detuned intermediate level over the
-    horizon: the size of the term the closed forms drop."""
-    h = build_hamiltonian(p, d)
-    psi0 = np.zeros(h.shape[0], dtype=complex)
-    psi0[0] = 1.0
-    states = evolve(h, psi0, np.linspace(0.0, horizon, n_samples))
-    return float(np.max(np.abs(states[:, 1]) ** 2))
+    pops = np.abs(evolve(h, psi0, ts)) ** 2
+    e2, g2, r2 = exact_squares(ts, p)
+    amplitude_error = max(np.max(np.abs(pops[:, 0] - e2)),
+                          np.max(np.abs(pops[:, 2] - g2)),
+                          np.max(np.abs(pops[:, 3:].sum(axis=1) - r2)))
+    return float(amplitude_error), float(np.max(pops[:, 1]))

@@ -42,8 +42,8 @@ from entransfer.jointstate import (
 )
 from entransfer.oracle import (
     ReservoirDiscretization,
-    amplitude_max_error,
     collective_chain,
+    discretized_errors,
     lindblad_max_error,
 )
 
@@ -64,7 +64,7 @@ def test_criterion_1_discretized_oracle_agreement():
     d = ReservoirDiscretization(n_modes=2000, bandwidth=200.0)
     dropped = 4.0 * p.g_eff / p.Delta
     start = time.monotonic()
-    err = amplitude_max_error(p, d, 10.0)
+    err = discretized_errors(p, d, 10.0)[0]
     elapsed = time.monotonic() - start
     assert elapsed < 120.0
     verdict(1, dropped < tol and err < tol,
@@ -239,12 +239,12 @@ def test_criterion_9_property_suites():
     gram_dev = np.max(np.abs(chain.vectors @ chain.vectors.T - np.eye(20)))
     # (d) oracle convergence ladders, monotone in N and in B
     pd = SystemParams.from_geff(5.0, Delta=5e4)
-    ladder_n = [amplitude_max_error(
-                    pd, ReservoirDiscretization(n_modes=n, bandwidth=200.0), 10.0)
+    ladder_n = [discretized_errors(
+                    pd, ReservoirDiscretization(n_modes=n, bandwidth=200.0), 10.0)[0]
                 for n in (125, 250, 500)]
-    ladder_b = [amplitude_max_error(
+    ladder_b = [discretized_errors(
                     pd, ReservoirDiscretization(n_modes=int(b / 0.4), bandwidth=b),
-                    10.0)
+                    10.0)[0]
                 for b in (50.0, 100.0, 200.0)]
     mono = (ladder_n[0] > ladder_n[1] > ladder_n[2]
             and ladder_b[0] > ladder_b[1] > ladder_b[2])

@@ -142,6 +142,20 @@ class TestExitCodes:
         assert status == 3
         assert out.read_text().strip().split("\n")[1].split(",")[-1] == "0"
 
+    def test_validate_values(self, tmp_path):
+        status, out = run(tmp_path, "validate", "--n-modes", "500",
+                          "--bandwidth", "200")
+        assert status == 0
+        row = out.read_text().strip().split("\n")[1].split(",")
+        expect = (0.00339737923317, 0.00395216677618, 0.00196849347559)
+        for got, want in zip(row[:3], expect):
+            assert float(got) == pytest.approx(want, rel=1e-9, abs=0)
+
+    def test_validate_oversized_reservoir(self, capsys):
+        # rejected from a size estimate, before any allocation
+        assert main(["validate", "--n-modes", "10000000"]) == 2
+        assert "GB" in capsys.readouterr().err
+
 
 class TestMisc:
     def test_stdout_default(self, capsys):

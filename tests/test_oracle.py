@@ -4,19 +4,17 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from entransfer.amplitudes import SystemParams
+from entransfer.amplitudes import SystemParams, exact_squares
 from entransfer.errors import ConfigError
 from entransfer.oracle import (
     IDX_E0,
     IDX_G0,
     IDX_G1,
     ReservoirDiscretization,
-    amplitude_max_error,
     build_hamiltonian,
     collective_chain,
+    discretized_errors,
     evolve,
-    extract_amplitudes,
-    leakage_bound,
     lindblad_evolve,
     lindblad_max_error,
 )
@@ -80,11 +78,15 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(np.array([[0.0, 1.0], [0.0, 0.0]]), [1.0, 0.0], 1.0)
 
-    def test_extract_amplitudes(self):
-        psi = np.array([0.5, 0.1j, 0.2, 0.3, 0.4])
-        e, c, g, r = extract_amplitudes(psi)
-        assert e == 0.5 and c == 0.1j and g == 0.2
-        assert r == pytest.approx(0.5)
+    def test_real_hamiltonian_matches_complex(self):
+        p = SystemParams.from_geff(5.0, Delta=1e4)
+        h = build_hamiltonian(p, ReservoirDiscretization(n_modes=50, bandwidth=100.0))
+        assert h.dtype == np.float64
+        psi0 = np.zeros(53)
+        psi0[0] = 1.0
+        ts = np.linspace(0.0, 5.0, 11)
+        diff = evolve(h, psi0, ts) - evolve(h.astype(complex), psi0, ts)
+        assert np.max(np.abs(diff)) < 1e-12
 
 
 class TestDiscretizedAgreement:
@@ -93,17 +95,35 @@ class TestDiscretizedAgreement:
         # percent level and a modest bath already resolves the decay
         p = SystemParams.from_geff(5.0, Delta=1e4)
         d = ReservoirDiscretization(n_modes=800, bandwidth=120.0)
-        assert amplitude_max_error(p, d, 5.0) < 0.02
+        assert discretized_errors(p, d, 5.0)[0] < 0.02
 
     def test_leakage_small_at_deep_detuning(self):
         p = SystemParams.from_geff(5.0, Delta=1e4)
         d = ReservoirDiscretization(n_modes=800, bandwidth=120.0)
-        assert leakage_bound(p, d, 5.0) < 5e-3
+        assert discretized_errors(p, d, 5.0)[1] < 5e-3
+
+    def test_matches_per_sample_loop(self):
+        p = SystemParams.from_geff(5.0, Delta=1e4)
+        d = ReservoirDiscretization(n_modes=100, bandwidth=100.0)
+        psi0 = np.zeros(103)
+        psi0[0] = 1.0
+        ts = np.linspace(0.0, 5.0, 201)
+        states = evolve(build_hamiltonian(p, d), psi0, ts)
+        amp_err = leak = 0.0
+        for t, psi in zip(ts, states):
+            e2, g2, r2 = exact_squares(float(t), p)
+            amp_err = max(amp_err, abs(abs(psi[0]) ** 2 - e2),
+                          abs(abs(psi[2]) ** 2 - g2),
+                          abs(np.linalg.norm(psi[3:]) ** 2 - r2))
+            leak = max(leak, abs(psi[1]) ** 2)
+        got = discretized_errors(p, d, 5.0)
+        assert abs(got[0] - amp_err) < 1e-14
+        assert abs(got[1] - leak) < 1e-14
 
     def test_convergence_in_mode_count(self):
         p = SystemParams.from_geff(5.0, Delta=5e4)
-        errs = [amplitude_max_error(
-                    p, ReservoirDiscretization(n_modes=n, bandwidth=200.0), 10.0)
+        errs = [discretized_errors(
+                    p, ReservoirDiscretization(n_modes=n, bandwidth=200.0), 10.0)[0]
                 for n in (125, 250, 500)]
         assert errs[0] > errs[1] > errs[2]
 
@@ -113,7 +133,7 @@ class TestDiscretizedAgreement:
         errs = []
         for b in (50.0, 100.0, 200.0):
             d = ReservoirDiscretization(n_modes=int(b / 0.4), bandwidth=b)
-            errs.append(amplitude_max_error(p, d, 10.0))
+            errs.append(discretized_errors(p, d, 10.0)[0])
         assert errs[0] > errs[1] > errs[2]
 
 
