@@ -37,6 +37,8 @@ class SystemParams:
     kappa: float = 1.0
 
     def __post_init__(self):
+        if not np.all(np.isfinite((self.g, self.Omega, self.Delta, self.kappa))):
+            raise ValueError("g, Omega, Delta and kappa must be finite")
         if self.g <= 0 or self.Omega <= 0:
             raise ValueError("g and Omega must be positive")
         if self.kappa < 0:

@@ -51,6 +51,8 @@ class InitialAmplitudes:
     beta: float
 
     def __post_init__(self):
+        if not (np.isfinite(self.alpha) and np.isfinite(self.beta)):
+            raise ValueError("alpha and beta must be finite")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be non-negative")
         if abs(self.alpha**2 + self.beta**2 - 1.0) > 1e-12:

@@ -43,6 +43,18 @@ class TestSystemParams:
         with pytest.raises(ValueError):
             SystemParams(g=1.0, Omega=1.0, Delta=100.0, kappa=-0.5)
 
+    @pytest.mark.parametrize("field", ["g", "Omega", "Delta", "kappa"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, field, value):
+        fields = dict(g=1.0, Omega=1.0, Delta=100.0, kappa=1.0)
+        fields[field] = value
+        with pytest.raises(ValueError, match="finite"):
+            SystemParams(**fields)
+
+    def test_from_geff_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            SystemParams.from_geff(np.nan)
+
     def test_small_detuning_warns(self):
         with pytest.warns(UserWarning):
             SystemParams(g=10.0, Omega=10.0, Delta=20.0)

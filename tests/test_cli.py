@@ -112,6 +112,36 @@ class TestConfigFile:
     def test_missing_file_rejected(self, tmp_path):
         assert main(["concurrence", "--config", str(tmp_path / "none.json")]) == 2
 
+    def test_string_value_typed_like_its_flag(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"geff": "5", "t_max": 2, "steps": 8}))
+        status, out1 = run(tmp_path, "concurrence", "--config", str(cfg))
+        assert status == 0
+        text = out1.read_text()
+        status, out2 = run(tmp_path, "concurrence", "--geff", "5", "--t-max", "2",
+                           "--steps", "8")
+        assert status == 0
+        assert text == out2.read_text()
+
+    def test_invalid_value_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"geff": "abc"}))
+        with pytest.raises(SystemExit) as exc:
+            main(["concurrence", "--config", str(cfg)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--geff" in err and "Traceback" not in err
+
+    def test_figure_preset_keys(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"t-max": 1, "steps": 4, "format": "json"}))
+        assert main(["figure", "4", "--config", str(cfg), "--steps", "2"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert len(data["records"]) == 3
+        assert data["config"]["t_max"] == 1.0 and data["config"]["figure"] == 4
+        cfg.write_text(json.dumps({"pairs": "a1a2"}))   # not a flag of preset 5
+        assert main(["figure", "5", "--config", str(cfg)]) == 2
+
 
 class TestExitCodes:
     def test_unknown_pair(self, capsys):
@@ -168,10 +198,6 @@ class TestMisc:
         assert main(["window", "--geff", "0.1", "--ratio", "1.9"]) == 0
         assert capsys.readouterr().out.strip().split("\n")[1].startswith("0,")
 
-    def test_seed_accepted(self, capsys):
-        assert main(["amplitudes", "--geff", "5", "--t-max", "1",
-                     "--steps", "5", "--seed", "42"]) == 0
-
     def test_regimes(self, capsys):
         for regime in ("exact", "strong", "weak"):
             assert main(["amplitudes", "--geff", "5", "--t-max", "1",
@@ -183,3 +209,71 @@ class TestMisc:
         out = capsys.readouterr().out
         # C_a1a2(0) = 2 alpha beta = 0.96
         assert out.splitlines()[1].split(",")[1] == "0.96"
+
+
+# the JSON "config" keys, in output order
+BASE = ["command", "g", "Omega", "Delta", "kappa", "g_eff"]
+SERIES = BASE + ["alpha", "beta", "t_max", "steps"]
+CONCURRENCE = BASE + ["alpha", "beta", "pairs", "t_max", "steps"]
+PHASE = ["command", "kappa", "gamma_min", "gamma_max", "gamma_steps",
+         "ratio_min", "ratio_max", "ratio_steps"]
+
+
+class TestFlags:
+    """Each subcommand and preset takes exactly the flags its handler reads."""
+
+    @pytest.mark.parametrize("argv", [
+        ["amplitudes", "--geff", "5", "--pairs", "a1a2"],
+        ["phase-diagram", "--geff", "5"],
+        ["phase-diagram", "--kappa", "3"],
+        ["validate", "--g", "3"],
+        ["window", "--geff", "0.1", "--steps", "7"],
+        ["figure", "7", "--geff", "5"],
+        ["figure", "5", "--pairs", "a1a2"],
+        ["amplitudes", "--geff", "5", "--seed", "42"],
+    ])
+    def test_unread_flag_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["amplitudes", "--geff", "nan"],
+        ["concurrence", "--geff", "inf"],
+        ["events", "--geff", "5", "--t-max", "inf"],
+        ["validate", "--bandwidth", "nan"],
+        ["phase-diagram", "--gamma-max", "inf"],
+        ["figure", "3", "--ratio=-inf"],
+    ])
+    def test_non_finite_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "expected a finite number" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--alpha", "--beta"])
+    def test_amplitude_above_one_rejected(self, flag, capsys):
+        assert main(["concurrence", "--geff", "5", flag, "1.2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "finite" in captured.err
+
+    @pytest.mark.parametrize("argv, keys", [
+        (["amplitudes", "--geff", "5", "--steps", "4"],
+         BASE + ["regime", "t_max", "steps"]),
+        (["concurrence", "--geff", "5", "--steps", "4"], CONCURRENCE),
+        (["events", "--geff", "5", "--ratio", "1.5", "--t-max", "3"],
+         BASE + ["alpha", "beta", "pairs", "t_max"]),
+        (["window", "--geff", "0.1", "--ratio", "3"], BASE + ["alpha", "beta", "t_max"]),
+        (["phase-diagram", "--gamma-steps", "2", "--ratio-steps", "2"], PHASE),
+        (["validate", "--n-modes", "200", "--bandwidth", "100", "--t-max", "2"],
+         BASE + ["n_modes", "bandwidth", "t_max", "tol"]),
+    ] + [(["figure", str(n), "--steps", "4"], CONCURRENCE + ["figure"])
+         for n in (3, 4, 9, 10)]
+      + [(["figure", str(n), "--steps", "4"], SERIES + ["figure"]) for n in (5, 6, 8)]
+      + [(["figure", "7", "--gamma-steps", "2", "--ratio-steps", "2"], PHASE + ["figure"])])
+    def test_json_config_keys(self, argv, keys, capsys):
+        assert main(argv + ["--format", "json"]) == 0
+        assert list(json.loads(capsys.readouterr().out)["config"]) == keys

@@ -39,6 +39,12 @@ class TestInitialAmplitudes:
         with pytest.raises(ValueError):
             InitialAmplitudes(alpha=-0.6, beta=0.8)
 
+    @pytest.mark.parametrize("alpha, beta", [(1.2, np.nan), (np.nan, 0.8),
+                                             (np.inf, 0.0), (0.6, -np.inf)])
+    def test_rejects_non_finite(self, alpha, beta):
+        with pytest.raises(ValueError, match="finite"):
+            InitialAmplitudes(alpha=alpha, beta=beta)
+
 
 class TestJointState:
     def test_normalized(self):
