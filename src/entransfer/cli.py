@@ -14,7 +14,9 @@ Subcommands emit CSV or JSON data files (no plotting):
 Each subcommand and each preset takes only the flags its handler reads
 (``COMMANDS``, ``FIGURES``), plus ``--out``, ``--format`` and ``--config``.
 All rates are in units of kappa and times in 1/kappa.  Exit codes:
-0 success, 2 configuration error, 3 numerical-validation failure.
+0 success, 2 configuration error (including a run too large for physical
+memory, rejected from a size estimate before it starts), 3
+numerical-validation failure (including a NaN or infinite output value).
 """
 
 import argparse
@@ -27,8 +29,9 @@ import tempfile
 import numpy as np
 
 from .amplitudes import SystemParams, amplitudes_strong, amplitudes_weak, exact_squares
-from .errors import ConfigError
+from .errors import ConfigError, require_memory
 from .events import (
+    POINTS_PER_PERIOD,
     concurrence_series,
     dead_window,
     detect_events,
@@ -40,6 +43,11 @@ from . import oracle
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_VALIDATION = 3
+
+# peak bytes per output cell (JSON records are the largest) and per point of
+# an event-detection grid, measured with numpy 2 on CPython 3.11
+CELL_BYTES = 256
+GRID_POINT_BYTES = 128
 
 
 def _atomic_write(path, text):
@@ -210,10 +218,27 @@ def _resolve_initial(args):
     return InitialAmplitudes(alpha=alpha, beta=beta)
 
 
-def _resolve_grid(args):
+def _require_size(flags, nbytes):
+    """Reject, before any work, a run whose output or grid would not fit in
+    physical memory; ``flags`` maps each flag that sets its size to its value."""
+    require_memory(nbytes, " with ".join(f"--{k} {v:g}" for k, v in flags.items()))
+
+
+def _resolve_grid(args, n_columns):
     if args.t_max <= 0 or args.steps < 1:
         raise ConfigError("t_max must be positive and steps at least 1")
+    _require_size({"steps": args.steps}, (args.steps + 1.0) * n_columns * CELL_BYTES)
     return np.linspace(0.0, args.t_max, args.steps + 1)
+
+
+def _require_detection_grid(args, p):
+    """Size check of the event-detection grids: --steps intervals, or
+    POINTS_PER_PERIOD points per Rabi period up to --t-max."""
+    if getattr(args, "steps", None) is not None:
+        _require_size({"steps": args.steps}, (args.steps + 1.0) * GRID_POINT_BYTES)
+    else:
+        periods = args.t_max * max(p.omega_bar.real, 0.0) / (2.0 * np.pi)
+        _require_size({"t-max": args.t_max}, POINTS_PER_PERIOD * periods * GRID_POINT_BYTES)
 
 
 def _resolve_pairs(args):
@@ -243,7 +268,7 @@ def _base_config(args, p, init=None, **extra):
 
 def cmd_amplitudes(args):
     p = _resolve_params(args)
-    grid = _resolve_grid(args)
+    grid = _resolve_grid(args, 4)
     fn = {"exact": exact_squares, "strong": amplitudes_strong,
           "weak": amplitudes_weak}[args.regime]
     data = [grid] + [np.broadcast_to(x, grid.shape) for x in fn(grid, p)]
@@ -255,8 +280,8 @@ def cmd_amplitudes(args):
 def cmd_concurrence(args):
     p = _resolve_params(args)
     init = _resolve_initial(args)
-    grid = _resolve_grid(args)
     pairs = _resolve_pairs(args)
+    grid = _resolve_grid(args, 1 + len(pairs))
     data = [grid] + [concurrence_series(pair, init, p, grid) for pair in pairs]
     cfg = _base_config(args, p, init, pairs=",".join(pairs),
                        t_max=grid[-1], steps=len(grid) - 1)
@@ -270,6 +295,7 @@ def cmd_events(args):
     for pair in pairs:
         if pair not in DIAGONAL_PAIRS:
             raise ConfigError(f"event detection supports a1a2/c1c2/r1r2, got {pair!r}")
+    _require_detection_grid(args, p)
     found = [ev for pair in pairs
              for ev in detect_events(pair, init, p, args.t_max, n_points=args.steps)]
     data = ([ev.kind for ev in found], [ev.pair for ev in found],
@@ -281,6 +307,7 @@ def cmd_events(args):
 def cmd_window(args):
     p = _resolve_params(args)
     init = _resolve_initial(args)
+    _require_detection_grid(args, p)
     win = dead_window(init, p, args.t_max)
     if win is None:
         data = ([0], [math.nan], [math.nan], [math.nan])
@@ -294,6 +321,8 @@ def cmd_phase_diagram(args):
     if not (0 < args.gamma_min <= args.gamma_max and args.gamma_steps > 0
             and 0 < args.ratio_min <= args.ratio_max < 1 and args.ratio_steps > 0):
         raise ConfigError("invalid phase-diagram grid ranges")
+    _require_size({"gamma-steps": args.gamma_steps, "ratio-steps": args.ratio_steps},
+                  4.0 * args.gamma_steps * args.ratio_steps * CELL_BYTES)
     diagram = phase_diagram(np.linspace(args.gamma_min, args.gamma_max, args.gamma_steps),
                             np.linspace(args.ratio_min, args.ratio_max, args.ratio_steps))
     n_gamma, n_ratio = diagram.entangled.shape
@@ -326,7 +355,7 @@ def cmd_validate(args):
 def _strong_conditions(args):
     p = _resolve_params(args)
     init = _resolve_initial(args)
-    grid = _resolve_grid(args)
+    grid = _resolve_grid(args, 4)
     e2, g2, _ = amplitudes_strong(grid, p)
     line = np.full_like(grid, init.alpha / init.beta)
     cfg = _base_config(args, p, init, t_max=grid[-1], steps=len(grid) - 1)
@@ -337,7 +366,7 @@ def _strong_conditions(args):
 def _weak_condition(args):
     p = _resolve_params(args)
     init = _resolve_initial(args)
-    grid = _resolve_grid(args)
+    grid = _resolve_grid(args, 4)
     g2 = amplitudes_weak(grid, p)[1]
     line = np.full_like(grid, init.alpha / init.beta)
     c_cav = concurrence_series("c1c2", init, p, grid)
@@ -348,7 +377,7 @@ def _weak_condition(args):
 def _weak_vs_exact(args):
     p = _resolve_params(args)
     init = _resolve_initial(args)
-    grid = _resolve_grid(args)
+    grid = _resolve_grid(args, 1 + 2 * len(DIAGONAL_PAIRS))
     weak = amplitudes_weak(grid, p)
     cols, series = ["t"], [grid]
     for i, pair in enumerate(DIAGONAL_PAIRS):
@@ -394,6 +423,19 @@ HANDLERS = {
 }
 
 
+def _first_non_finite(columns, data):
+    """(row, column name) of the first NaN or infinite cell in row order,
+    or None."""
+    first = None
+    for name, column in zip(columns, data):
+        a = np.asarray(column)
+        if a.dtype.kind in "fc":
+            bad = np.flatnonzero(~np.isfinite(a))
+            if bad.size and (first is None or bad[0] < first[0]):
+                first = (int(bad[0]), name)
+    return first
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
@@ -412,6 +454,14 @@ def main(argv=None):
             cfg, columns, data = result
         if args.command == "figure":
             cfg = dict(cfg, figure=args.number)
+        # window writes NaN times for "no window"; elsewhere NaN is a fault
+        check = status == EXIT_OK and args.command != "window"
+        bad = _first_non_finite(columns, data) if check else None
+        if bad is not None:
+            row, name = bad
+            print(f"error: non-finite {name} in data row {row + 1} "
+                  f"({columns[0]} = {data[0][row]}); no output written", file=sys.stderr)
+            return EXIT_VALIDATION
         emit(cfg, columns, data, out=args.out, fmt=args.format)
         return status
     except (ConfigError, ValueError, OSError) as exc:

@@ -20,6 +20,8 @@ from .jointstate import DIAGONAL_PAIRS, PAIR_LABELS, lambda_minus
 # concurrence below this counts as unentangled (numerical floor of the
 # closed forms)
 ZERO_THRESHOLD = 1e-12
+# least detection-grid points per Rabi period
+POINTS_PER_PERIOD = 40
 
 ESD = "ESD"
 ESB = "ESB"
@@ -98,7 +100,8 @@ def _detection_grid(p, horizon, n_points, min_points_per_period):
     return np.linspace(0.0, horizon, n + 1)
 
 
-def detect_events(pair, init, p, horizon, n_points=None, min_points_per_period=40):
+def detect_events(pair, init, p, horizon, n_points=None,
+                  min_points_per_period=POINTS_PER_PERIOD):
     """Locate all ESD/ESB/ESR events of a closed-form pair on (0, horizon].
 
     Sign changes of lambda_-(t) are bracketed on a dense grid (at least

@@ -186,6 +186,31 @@ class TestExitCodes:
         assert main(["validate", "--n-modes", "10000000"]) == 2
         assert "GB" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["amplitudes", "--geff", "5", "--steps", "1000000000000"], "--steps"),
+        (["concurrence", "--geff", "5", "--steps", "1000000000000"], "--steps"),
+        (["figure", "8", "--steps", "1000000000000"], "--steps"),
+        (["events", "--geff", "5", "--t-max", "1e300"], "--t-max"),
+        (["events", "--geff", "5", "--steps", "1000000000000"], "--steps"),
+        (["window", "--geff", "5", "--t-max", "1e300"], "--t-max"),
+        (["phase-diagram", "--gamma-steps", "1000000000", "--ratio-steps", "1000"],
+         "--gamma-steps"),
+    ])
+    def test_runaway_size_rejected(self, capsys, argv, flag):
+        # rejected from a size estimate that names the flag, before any work
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert flag in err and "GB" in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_output_exit_3(self, capsys):
+        # exact_squares overflows at kappa t = 3000 in the overdamped branch
+        assert main(["amplitudes", "--geff", "0.01", "--t-max", "3000",
+                     "--steps", "3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite E2 in data row 4 (t = 3000.0)" in captured.err
+
 
 class TestMisc:
     def test_stdout_default(self, capsys):

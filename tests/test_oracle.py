@@ -1,5 +1,8 @@
 """Unit tests for the discretized-reservoir and Lindblad oracles."""
 
+import time
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -15,9 +18,95 @@ from entransfer.oracle import (
     collective_chain,
     discretized_errors,
     evolve,
+    _mode_sums,
     lindblad_evolve,
     lindblad_max_error,
+    populations,
+    spectrum,
 )
+
+EPS = np.finfo(float).eps
+EXTENDED = np.finfo(np.longdouble).eps < 1e-18
+
+
+def dense_populations(p, d, ts):
+    """|e00>, |c00>, |g10> and summed reservoir populations from the
+    dense eigendecomposition."""
+    h = build_hamiltonian(p, d)
+    psi0 = np.zeros(h.shape[0])
+    psi0[0] = 1.0
+    pops = np.abs(evolve(h, psi0, ts)) ** 2
+    return np.column_stack([pops[:, :3], pops[:, 3:].sum(axis=1)])
+
+
+def longdouble_populations(p, d, ts):
+    """The same populations from the secular equation of the same real
+    Hamiltonian, solved in extended precision by bisection on direct sums
+    over the modes: an independent reference for the float64 route."""
+    ld = np.longdouble
+    h = build_hamiltonian(p, d).astype(ld)
+    delta, big, om, g = -h[0, 0], h[1, 1], h[0, 1], h[1, 2]
+    modes, c2 = np.diag(h)[3:], h[2, 3:] ** 2
+    radius = np.sqrt(((big + delta) / 2) ** 2 + om**2)
+    h_plus = (big - delta) / 2 + radius
+    heads = np.array([(-delta * big - om**2) / h_plus, h_plus])
+
+    def f(lam):
+        den = (lam - heads[0]) * (lam - heads[1])
+        modes_sum = (c2 / (lam[:, None] - modes)).sum(axis=1)
+        return lam - modes_sum - g * g * (lam + delta) / den
+
+    poles = np.sort(np.concatenate([modes, heads]))
+    reach = 2 * np.sqrt(c2.sum() + g * g) + 1
+    lo = np.concatenate([[min(poles[0], 0) - reach], poles])
+    hi = np.concatenate([poles, [max(poles[-1], 0) + reach]])
+    for _ in range(160):      # halvings to an ulp of np.longdouble
+        mid = (lo + hi) / 2
+        neg = f(mid) < 0
+        lo, hi = np.where(neg, mid, lo), np.where(neg, hi, mid)
+    lam = (lo + hi) / 2
+    den = (lam - heads[0]) * (lam - heads[1])
+    v_e, v_c = om * g / den, g * (lam + delta) / den
+    norm2 = 1 + v_e**2 + v_c**2 + (c2 / (lam[:, None] - modes) ** 2).sum(axis=1)
+    weights = np.array([v_e, v_c, np.ones_like(v_e)]) * v_e / norm2
+    phase = np.exp(-1j * np.outer(np.asarray(ts, dtype=ld), lam))
+    head = np.abs(phase @ weights.T) ** 2
+    return np.column_stack([head, 1 - head.sum(axis=1)])
+
+
+def _quiet(build):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return build()
+
+
+# (p, d) pairs for the secular route; the dense solve is accurate to
+# ~eps |H| t, so these keep |H| moderate
+SECULAR_CASES = {
+    "N=0": lambda: (SystemParams.from_geff(5.0), ReservoirDiscretization(0, 1.0)),
+    "N=1": lambda: (SystemParams.from_geff(5.0), ReservoirDiscretization(1, 20.0)),
+    "N=2": lambda: (SystemParams.from_geff(5.0), ReservoirDiscretization(2, 20.0)),
+    "N=3": lambda: (SystemParams.from_geff(5.0), ReservoirDiscretization(3, 20.0)),
+    "N=50": lambda: (SystemParams.from_geff(5.0), ReservoirDiscretization(50, 40.0)),
+    "N=101": lambda: (SystemParams.from_geff(5.0), ReservoirDiscretization(101, 60.0)),
+    "kappa=0": lambda: (SystemParams.from_geff(5.0, kappa=0.0),
+                        ReservoirDiscretization(50, 40.0, kappa=0.0)),
+    "g!=Omega": lambda: (SystemParams(g=30.0, Omega=50.0, Delta=500.0),
+                         ReservoirDiscretization(101, 60.0)),
+    "Delta<0": lambda: (SystemParams(g=50.0, Omega=20.0, Delta=-500.0),
+                        ReservoirDiscretization(101, 60.0)),
+    # h- = -1 of the (e, c) block sits exactly on the mode at -1
+    "pole on mode": lambda: (SystemParams(g=2.0, Omega=2.0, Delta=3.0),
+                             ReservoirDiscretization(3, 3.0)),
+    "both poles on modes": lambda: (SystemParams(g=2.0, Omega=2.0, Delta=3.0),
+                                    ReservoirDiscretization(11, 11.0)),
+    # couplings below rounding are deflated: all modes, or both head poles
+    # (then |g10> couples to nothing and h- = 0 is also a root)
+    "kappa=1e-100": lambda: (SystemParams.from_geff(5.0, kappa=1e-100),
+                             ReservoirDiscretization(50, 40.0, kappa=1e-100)),
+    "g=1e-300": lambda: (SystemParams(g=1e-300, Omega=1.0, Delta=1.0),
+                         ReservoirDiscretization(0, 1.0)),
+}
 
 
 class TestDiscretization:
@@ -102,23 +191,49 @@ class TestDiscretizedAgreement:
         d = ReservoirDiscretization(n_modes=800, bandwidth=120.0)
         assert discretized_errors(p, d, 5.0)[1] < 5e-3
 
+    @pytest.mark.skipif(not EXTENDED, reason="np.longdouble is float64 here")
     def test_matches_per_sample_loop(self):
+        # against an extended-precision secular solve, sample by sample
         p = SystemParams.from_geff(5.0, Delta=1e4)
         d = ReservoirDiscretization(n_modes=100, bandwidth=100.0)
-        psi0 = np.zeros(103)
-        psi0[0] = 1.0
         ts = np.linspace(0.0, 5.0, 201)
-        states = evolve(build_hamiltonian(p, d), psi0, ts)
         amp_err = leak = 0.0
-        for t, psi in zip(ts, states):
+        for t, pops in zip(ts, longdouble_populations(p, d, ts)):
             e2, g2, r2 = exact_squares(float(t), p)
-            amp_err = max(amp_err, abs(abs(psi[0]) ** 2 - e2),
-                          abs(abs(psi[2]) ** 2 - g2),
-                          abs(np.linalg.norm(psi[3:]) ** 2 - r2))
-            leak = max(leak, abs(psi[1]) ** 2)
+            amp_err = max(amp_err, abs(pops[0] - e2), abs(pops[2] - g2),
+                          abs(pops[3] - r2))
+            leak = max(leak, pops[1])
         got = discretized_errors(p, d, 5.0)
-        assert abs(got[0] - amp_err) < 1e-14
-        assert abs(got[1] - leak) < 1e-14
+        assert abs(got[0] - float(amp_err)) < 1e-14
+        assert abs(got[1] - float(leak)) < 1e-14
+
+    def test_matches_dense_within_eigh_backward_error(self):
+        # a backward-stable eigh solves H + E with |E| <= dim eps |H|; over
+        # a time t that moves each amplitude by at most |E| t, and each
+        # population by twice that
+        p = SystemParams.from_geff(5.0, Delta=1e4)
+        d = ReservoirDiscretization(n_modes=100, bandwidth=100.0)
+        ts = np.linspace(0.0, 5.0, 201)
+        h = build_hamiltonian(p, d)
+        bound = 2.0 * h.shape[0] * EPS * np.linalg.norm(h, 2) * ts[-1]
+        assert np.max(np.abs(populations(p, d, ts) - dense_populations(p, d, ts))) < bound
+
+    def test_bandwidth_floor(self):
+        # the error is a bandwidth floor: ten times the modes at the same
+        # B changes it by far less than its size
+        p = SystemParams.from_geff(5.0, Delta=1e4)
+        start = time.perf_counter()
+        fine = discretized_errors(p, ReservoirDiscretization(20000, 200.0), 10.0)
+        elapsed = time.perf_counter() - start
+        coarse = discretized_errors(p, ReservoirDiscretization(2000, 200.0), 10.0)
+        assert abs(fine[0] - coarse[0]) < 1e-6
+        assert fine[0] > 0.003
+        assert elapsed < 10.0
+
+    def test_oversized_reservoir_rejected_before_solving(self):
+        p = SystemParams.from_geff(5.0, Delta=1e4)
+        with pytest.raises(ConfigError, match="GB"):
+            discretized_errors(p, ReservoirDiscretization(10**10, 200.0), 10.0)
 
     def test_convergence_in_mode_count(self):
         p = SystemParams.from_geff(5.0, Delta=5e4)
@@ -135,6 +250,60 @@ class TestDiscretizedAgreement:
             d = ReservoirDiscretization(n_modes=int(b / 0.4), bandwidth=b)
             errs.append(discretized_errors(p, d, 10.0)[0])
         assert errs[0] > errs[1] > errs[2]
+
+
+class TestSecularSpectrum:
+    @pytest.mark.parametrize("case", SECULAR_CASES)
+    def test_eigenvalues_match_eigvalsh(self, case):
+        p, d = _quiet(SECULAR_CASES[case])
+        h = build_hamiltonian(p, d)
+        lam, comps = spectrum(p, d)
+        assert lam.shape == (3 + d.n_modes,) and comps.shape == (3, 3 + d.n_modes)
+        tol = 8.0 * EPS * np.linalg.norm(h, 2)
+        assert np.max(np.abs(lam - np.linalg.eigvalsh(h))) < tol
+
+    @pytest.mark.parametrize("case", SECULAR_CASES)
+    def test_populations_match_dense(self, case):
+        p, d = _quiet(SECULAR_CASES[case])
+        ts = np.linspace(0.0, 3.0, 61)
+        got = populations(p, d, ts)
+        assert np.max(np.abs(got - dense_populations(p, d, ts))) < 1e-12
+
+    def test_head_pole_on_mode_deflated(self):
+        p, d = _quiet(SECULAR_CASES["pole on mode"])
+        lam, comps = spectrum(p, d)
+        at_pole = np.flatnonzero(lam == -1.0)
+        assert at_pole.size == 1
+        assert comps[2, at_pole[0]] == 0.0 and comps[0, at_pole[0]] != 0.0
+        assert abs(np.sum(comps[0] ** 2) - 1.0) < 1e-15
+
+    def test_root_on_minus_delta_is_finite(self):
+        # with g = Omega (delta = 0) and an even mode count the modes sum to
+        # 0 at lam = 0, so lam = -delta is a root, where v_c = 0; nothing
+        # divides by lam + delta
+        p, d = SECULAR_CASES["N=50"]()
+        lam, comps = spectrum(p, d)
+        at_root = np.flatnonzero(np.abs(lam + p.delta) < 1e-12)
+        assert at_root.size == 1
+        assert np.all(np.isfinite(comps)) and abs(comps[1, at_root[0]]) < 1e-12
+
+    def test_initial_state_complete(self):
+        for build in SECULAR_CASES.values():
+            p, d = _quiet(build)
+            pops = populations(p, d, [0.0])[0]
+            assert np.max(np.abs(pops - [1.0, 0.0, 0.0, 0.0])) < 1e-14
+
+    @pytest.mark.skipif(not EXTENDED, reason="np.longdouble is float64 here")
+    def test_mode_sums_match_direct_sums(self):
+        # psi(u + n) - psi(u) and psi1(u) - psi1(u + n) against the sums
+        # they stand for, in extended precision; u >> n is where a
+        # difference of digammas would keep few digits
+        u = np.concatenate([np.linspace(1e-3, 12.0, 300), np.logspace(1, 12, 45)])
+        for n in (0, 1, 3, 50, 2000):
+            terms = u.astype(np.longdouble)[:, None] + np.arange(n)
+            direct = (1 / terms).sum(axis=1), (1 / terms**2).sum(axis=1)
+            for got, want in zip(_mode_sums(u, n), direct):
+                assert np.all(np.abs(got - want) <= 4 * EPS * np.abs(want))
 
 
 class TestCollectiveChain:
