@@ -2,8 +2,9 @@
 
 Event detection works on the smooth partial-transpose eigenvalue
 lambda_-(t) of the closed-form pair matrices rather than on the clipped
-concurrence: bisection needs sign changes, not flat zeros.  A pair is
-entangled where lambda_- < 0.
+concurrence: root bracketing needs sign changes, not flat zeros.  A pair
+is entangled where lambda_- < 0.  Times are in units of 1/kappa and
+rates in units of kappa (kappa = 1).
 """
 
 from dataclasses import dataclass
@@ -20,8 +21,11 @@ from .jointstate import DIAGONAL_PAIRS, PAIR_LABELS, lambda_minus
 # concurrence below this counts as unentangled (numerical floor of the
 # closed forms)
 ZERO_THRESHOLD = 1e-12
-# least detection-grid points per Rabi period
+# least detection-grid points per Rabi period, and least grid cells
 POINTS_PER_PERIOD = 40
+MIN_CELLS = 2000
+# grid cells per _phase_horizon of the cavity-interval scan
+CAVITY_CELLS = 8000
 
 ESD = "ESD"
 ESB = "ESB"
@@ -40,11 +44,6 @@ def _pair_index(pair):
         raise ValueError(f"event detection requires a pair with a closed-form "
                          f"lambda (a1a2, c1c2, r1r2), got {pair!r}")
     return DIAGONAL_PAIRS.index(pair)
-
-
-def _lambda_on_grid(pair, init, p, grid):
-    x2 = exact_squares(grid, p)[_pair_index(pair)]
-    return lambda_minus(pair, x2, init)
 
 
 def concurrence_series(pair, init, p, grid):
@@ -85,14 +84,14 @@ def concurrence_series(pair, init, p, grid):
     return np.maximum(0.0, -2.0 * b * xy * (b * rest - a))
 
 
-def _detection_grid(p, horizon, n_points, min_points_per_period):
+def _detection_grid(p, horizon, n_points):
     ob = p.omega_bar
     if ob.real > 0:
         period = 2.0 * np.pi / ob.real
-        needed = int(np.ceil(min_points_per_period * horizon / period))
+        needed = int(np.ceil(POINTS_PER_PERIOD * horizon / period))
     else:
         needed = 0
-    n = max(2000, needed) if n_points is None else int(n_points)
+    n = max(MIN_CELLS, needed) if n_points is None else int(n_points)
     if ob.real > 0 and n < needed:
         raise ConfigError(
             f"{n} grid points is too coarse for oscillation period {period:.3g}; "
@@ -100,49 +99,48 @@ def _detection_grid(p, horizon, n_points, min_points_per_period):
     return np.linspace(0.0, horizon, n + 1)
 
 
-def detect_events(pair, init, p, horizon, n_points=None,
-                  min_points_per_period=POINTS_PER_PERIOD):
+def _crossings(f, grid, values, xtol):
+    """(root, falling) for every grid cell over which ``values = f(grid)``
+    changes sign from a nonzero left value, refined by brentq to ``xtol``;
+    ``falling`` is True where f goes from positive to negative."""
+    cells = np.flatnonzero((values[:-1] != 0.0)
+                           & (np.sign(values[:-1]) != np.sign(values[1:])))
+    return [(brentq(f, grid[i], grid[i + 1], xtol=xtol), values[i] > 0.0)
+            for i in cells]
+
+
+def detect_events(pair, init, p, horizon, n_points=None):
     """Locate all ESD/ESB/ESR events of a closed-form pair on (0, horizon].
 
-    Sign changes of lambda_-(t) are bracketed on a dense grid (at least
-    ``min_points_per_period`` points per Rabi period) and refined by
-    bisection to better than 1e-6 in time.  A positive-going zero ends an
-    entangled interval (ESD); a negative-going zero starts one (ESB the
-    first time, ESR afterwards).
+    Sign changes of lambda_-(t) are bracketed on a grid of ``n_points``
+    cells, by default at least POINTS_PER_PERIOD points per Rabi period
+    and MIN_CELLS cells, and refined by brentq to 1e-8 in time.  A
+    positive-going zero ends an entangled interval (ESD); a
+    negative-going zero starts one (ESB the first time, ESR afterwards).
+    Two crossings closer together than one cell can go unseen.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    grid = _detection_grid(p, horizon, n_points, min_points_per_period)
-    lam = _lambda_on_grid(pair, init, p, grid)
+    grid = _detection_grid(p, horizon, n_points)
+    x = _pair_index(pair)
+    f = lambda t: lambda_minus(pair, exact_squares(t, p)[x], init)
+    lam = f(grid)
 
     events = []
-    # lambda(0) = 0 for all three pairs; the state just after t=0 decides
-    # whether the pair is born entangled.
-    entangled = lam[1] < 0.0
-    ever_entangled = entangled or (pair == "a1a2" and init.alpha * init.beta > 0)
-    if entangled and pair != "a1a2":
-        # born entangled at t = 0+ without a sign change to bracket
+    # a1a2 starts at lambda = -alpha beta; c1c2 and r1r2 start at exactly
+    # 0, and the first grid point decides whether they are born entangled
+    ever_entangled = lam[0] < 0.0 or lam[1] < 0.0
+    if lam[0] == 0.0 and lam[1] < 0.0:
         events.append(EventRecord(kind=ESB, pair=pair, time=0.0))
+    for root, falling in _crossings(f, grid, lam, 1e-8):
+        # falling: unentangled -> entangled; rising: entangled -> unentangled
+        kind = (ESR if ever_entangled else ESB) if falling else ESD
+        events.append(EventRecord(kind=kind, pair=pair, time=root))
         ever_entangled = True
-
-    f = lambda t: lambda_minus(pair, exact_squares(t, p)[_pair_index(pair)], init)
-    for i in range(1, len(grid) - 1):
-        a, b = lam[i], lam[i + 1]
-        if a == 0.0 or np.sign(a) == np.sign(b):
-            continue
-        root = brentq(f, grid[i], grid[i + 1], xtol=1e-8)
-        if a < 0.0:          # entangled -> unentangled
-            events.append(EventRecord(kind=ESD, pair=pair, time=root))
-            entangled = False
-        else:                # unentangled -> entangled
-            kind = ESR if ever_entangled else ESB
-            events.append(EventRecord(kind=kind, pair=pair, time=root))
-            entangled = True
-            ever_entangled = True
     return events
 
 
-def esb_time_strong(init, kappa=1.0):
+def esb_time_strong(init):
     """Strong-coupling prediction 2 ln(beta/alpha) / kappa for the
     reservoir-pair sudden-birth time; requires beta >= alpha.
 
@@ -158,7 +156,7 @@ def esb_time_strong(init, kappa=1.0):
         raise ValueError("no ESB prediction for beta < alpha")
     if init.alpha == 0:
         raise ValueError("beta = 1 never crosses the birth threshold at finite time")
-    return 2.0 * np.log(init.beta / init.alpha) / kappa
+    return 2.0 * np.log(init.beta / init.alpha)
 
 
 class WeakEventTimes(NamedTuple):
@@ -167,7 +165,7 @@ class WeakEventTimes(NamedTuple):
     window: Optional[float]
 
 
-def weak_event_times(init, gamma, kappa=1.0):
+def weak_event_times(init, gamma):
     """Weak-coupling closed-form event times.
 
     t_ESD = ln(beta/(beta-alpha)) / (4 gamma^2 kappa)
@@ -177,15 +175,11 @@ def weak_event_times(init, gamma, kappa=1.0):
     a, b = init.alpha, init.beta
     if b <= a:
         raise ValueError("weak-coupling ESD/ESB require beta > alpha")
-    pref = 1.0 / (4.0 * gamma**2 * kappa)
+    pref = 1.0 / (4.0 * gamma**2)
     t_esd = pref * np.log(b / (b - a))
     t_esb = pref * np.log(b / a)
     window = pref * np.log(b / a - 1.0) if b > 2.0 * a else None
     return WeakEventTimes(t_esd=t_esd, t_esb=t_esb, window=window)
-
-
-def _phase_params(gamma, kappa):
-    return SystemParams.from_geff(gamma * kappa, kappa=kappa)
 
 
 def _phase_horizon(p):
@@ -201,7 +195,7 @@ def _phase_horizon(p):
     return horizon
 
 
-def cavity_boundary(gamma, kappa=1.0):
+def cavity_boundary(gamma):
     """Minimum over t of 1 - |G_t|^2 with exact amplitudes: the critical
     alpha/beta ratio above which the cavities entangle.
 
@@ -212,7 +206,7 @@ def cavity_boundary(gamma, kappa=1.0):
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    p = _phase_params(gamma, kappa)
+    p = SystemParams.from_geff(gamma)
     ob = p.omega_bar
     z = 4.0 * ob / p.kappa
     # arctan(z) / w = (4 / kappa)(1 - z^2 / 3 + ...)
@@ -250,45 +244,38 @@ def _cavity_quiet_time(p, level):
     return max(0.0, min(t_exp, t_poly))
 
 
-def cavity_entangled_intervals(gamma, ratio, kappa=1.0, n_points=8000):
+def cavity_entangled_intervals(gamma, ratio):
     """Time intervals on which the cavity pair is entangled for
     alpha/beta = ratio (exact amplitudes): where 1 - |G_t|^2 < ratio.
 
     The scan ends where an envelope of |G|^2 has fallen to half the
     threshold 1 - ratio, so every crossing lies inside it; its spacing is
-    at most that of the ``n_points`` grid on ``_phase_horizon``.  When
+    at most that of a CAVITY_CELLS grid on ``_phase_horizon``.  When
     overdamped, |G|^2 peaks once, at tanh(nu t) = 4 nu / kappa, well
     inside ``_phase_horizon``; the grid stops there and an ESD beyond it
     is the single root left before the scan end.
     """
     if not 0.0 < ratio < 1.0:
         raise ValueError("ratio alpha/beta must lie in (0, 1)")
-    p = _phase_params(gamma, kappa)
+    p = SystemParams.from_geff(gamma)
     horizon = _phase_horizon(p)
     t_end = _cavity_quiet_time(p, 0.5 * (1.0 - ratio))
     overdamped = p.omega_bar.real == 0.0
     grid_end = min(t_end, horizon) if overdamped else t_end
-    n = max(n_points, int(np.ceil(grid_end * n_points / horizon)))
+    n = max(CAVITY_CELLS, int(np.ceil(grid_end * CAVITY_CELLS / horizon)))
     ts = np.linspace(0.0, grid_end, n + 1)
     f = lambda t: (1.0 - exact_squares(t, p)[1]) - ratio
-    vals = f(ts)
-    below = vals < 0.0
-    intervals = []
-    start = None
-    for i in range(1, len(ts)):
-        if below[i] and not below[i - 1]:
-            start = brentq(f, ts[i - 1], ts[i], xtol=1e-10)
-        elif not below[i] and below[i - 1] and start is not None:
-            intervals.append((start, brentq(f, ts[i - 1], ts[i], xtol=1e-10)))
-            start = None
-    if start is not None:
+    # f(0) = 1 - ratio > 0: crossings alternate entering and leaving
+    roots = [root for root, _ in _crossings(f, ts, f(ts), 1e-10)]
+    intervals = list(zip(roots[0::2], roots[1::2]))
+    if len(roots) % 2:
         with np.errstate(over="ignore", invalid="ignore"):
             finite = np.isfinite(f(t_end))
         if not finite:
             raise ValueError(
                 f"the cavity pair is still entangled at t = {grid_end:.6g} and "
                 f"disentangles past the range where the exact amplitudes are finite")
-        intervals.append((start, brentq(f, grid_end, t_end, xtol=1e-10)))
+        intervals.append((roots[-1], brentq(f, grid_end, t_end, xtol=1e-10)))
     return intervals
 
 

@@ -1,6 +1,6 @@
 """Dense complex-matrix kernel for small quantum systems.
 
-Hermitian eigenvalues, partial trace / partial transpose over tensor
+Density-matrix validation, partial trace / partial transpose over tensor
 factors, and the two-qubit entanglement measures used everywhere else in
 the package: Wootters concurrence, the negativity-based concurrence for
 X-form states, and the pure-state I-concurrence.
@@ -13,7 +13,6 @@ import numpy as np
 # Tolerances for validating matrices produced by closed-form expressions.
 # They accumulate rounding error only, so these can be tight.
 HERMITICITY_TOL = 1e-12
-EIG_INPUT_HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 POSITIVITY_FLOOR = -1e-10
 
@@ -28,18 +27,6 @@ def _as_square(m):
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
     return m
-
-
-def hermitian_eigenvalues(m):
-    """Eigenvalues of a Hermitian matrix, sorted ascending.
-
-    Raises ValueError if ``m`` deviates from Hermiticity by more than
-    ``EIG_INPUT_HERMITICITY_TOL`` in any entry.
-    """
-    m = _as_square(m)
-    if np.max(np.abs(m - m.conj().T)) > EIG_INPUT_HERMITICITY_TOL:
-        raise ValueError("matrix is not Hermitian")
-    return np.linalg.eigvalsh(m)
 
 
 def validate_density_matrix(rho, dim=None):

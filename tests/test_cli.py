@@ -223,6 +223,14 @@ class TestMisc:
         assert main(["window", "--geff", "0.1", "--ratio", "1.9"]) == 0
         assert capsys.readouterr().out.strip().split("\n")[1].startswith("0,")
 
+    def test_window_after_a1a2_esd_in_first_grid_cell(self, capsys):
+        # beta / alpha = 1e6: a1a2 dies at t ~ 2e-4, inside the first grid
+        # cell, so the window opens there and not at t = 0
+        assert main(["window", "--geff", "5", "--ratio", "1e6", "--t-max", "3"]) == 0
+        found, t_start, t_end, _ = capsys.readouterr().out.strip().split("\n")[1].split(",")
+        assert found == "1" and t_end == "3"
+        assert float(t_start) == pytest.approx(2.0e-4, rel=1e-3)
+
     def test_regimes(self, capsys):
         for regime in ("exact", "strong", "weak"):
             assert main(["amplitudes", "--geff", "5", "--t-max", "1",

@@ -3,6 +3,8 @@ cavity phase diagram."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from entransfer.amplitudes import SystemParams, exact_squares
 from entransfer.errors import ConfigError
@@ -21,6 +23,7 @@ from entransfer.events import (
     weak_event_times,
 )
 from entransfer.jointstate import (
+    DIAGONAL_PAIRS,
     PAIR_LABELS,
     InitialAmplitudes,
     lambda_minus,
@@ -119,10 +122,53 @@ class TestDetectEvents:
         with pytest.raises(ConfigError):
             detect_events("a1a2", init, P_STRONG, 50.0, n_points=100)
 
+    def test_a1a2_esd_in_first_grid_cell(self):
+        # a1a2 starts at lambda = -alpha beta, and for beta / alpha = 1e6
+        # its ESD (|E|^2 = 1 - alpha / beta) comes at t ~ 2e-4, inside the
+        # first of 2000 cells on [0, 3]
+        init = InitialAmplitudes.from_ratio(1e6)
+        events = detect_events("a1a2", init, P_STRONG, 3.0)
+        assert [ev.kind for ev in events] == [ESD]
+        assert 0.0 < events[0].time < 3.0 / 2000
+        assert abs(lam_at("a1a2", events[0].time, init, P_STRONG)) < 1e-8
+        assert lam_at("a1a2", 0.5 * events[0].time, init, P_STRONG) < 0.0
+
     def test_interacting_pair_rejected(self):
         init = InitialAmplitudes.from_ratio(1.5)
         with pytest.raises(ValueError):
             detect_events("a1c1", init, P_STRONG, 3.0)
+
+
+def log_uniform(lo, hi):
+    return st.floats(np.log(lo), np.log(hi)).map(np.exp)
+
+
+class TestDetectEventsProperties:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(gamma=log_uniform(0.05, 5.0), ratio=log_uniform(1e-3, 1e6),
+           horizon=log_uniform(1.0, 60.0), pair=st.sampled_from(DIAGONAL_PAIRS))
+    def test_events_split_time_into_signed_intervals(self, gamma, ratio,
+                                                     horizon, pair):
+        # near alpha = beta one grid cell can hold two crossings
+        assume(abs(1.0 / ratio - 1.0) >= 0.01)
+        p = SystemParams.from_geff(gamma)
+        init = InitialAmplitudes.from_ratio(ratio)
+        events = detect_events(pair, init, p, horizon)
+
+        def holds(lo, hi, entangled):
+            lam = lam_at(pair, 0.5 * (lo + hi), init, p)
+            return hi == lo or (lam < 0.0) == entangled
+
+        # a1a2 starts entangled (alpha beta > 0), c1c2 and r1r2 do not
+        entangled = ever = pair == "a1a2"
+        t_prev = 0.0
+        for ev in events:
+            assert ev.kind == (ESD if entangled else ESR if ever else ESB)
+            assert t_prev <= ev.time and holds(t_prev, ev.time, entangled)
+            if ev.time > 0.0:
+                assert abs(lam_at(pair, ev.time, init, p)) < 1e-8
+            entangled, ever, t_prev = not entangled, True, ev.time
+        assert holds(t_prev, horizon, entangled)
 
 
 class TestConcurrenceSeries:

@@ -32,30 +32,6 @@ def random_x_state(rng):
     return rho
 
 
-class TestHermitianEigenvalues:
-    def test_identity(self):
-        assert np.allclose(qops.hermitian_eigenvalues(np.eye(3)), 1.0)
-
-    def test_diagonal_sorted(self):
-        vals = qops.hermitian_eigenvalues(np.diag([3.0, -1.0, 2.0]))
-        assert np.allclose(vals, [-1.0, 2.0, 3.0])
-
-    def test_pauli_x(self):
-        sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert np.allclose(qops.hermitian_eigenvalues(sx), [-1.0, 1.0])
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            qops.hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_random_matches_numpy(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-            h = a + a.conj().T
-            assert np.allclose(qops.hermitian_eigenvalues(h), np.linalg.eigvalsh(h))
-
-
 class TestPartialTrace:
     def test_bell_marginals_maximally_mixed(self):
         rho = np.outer(bell_state(), bell_state())
