@@ -340,7 +340,7 @@ def cmd_validate(args):
     p = SystemParams.from_geff(args.geff, kappa=kappa, Delta=delta)
     d = oracle.ReservoirDiscretization(n_modes=args.n_modes, bandwidth=bandwidth,
                                        kappa=kappa)
-    d.validate(p, args.t_max, strict=False)
+    d.validate(p, args.t_max)
     amp_err, leak = oracle.discretized_errors(p, d, args.t_max)
     lind_grid = np.linspace(args.t_max / 50.0, args.t_max, 50)
     lind_err = oracle.lindblad_max_error(p, lind_grid)

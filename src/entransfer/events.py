@@ -24,8 +24,6 @@ ZERO_THRESHOLD = 1e-12
 # least detection-grid points per Rabi period, and least grid cells
 POINTS_PER_PERIOD = 40
 MIN_CELLS = 2000
-# grid cells per _phase_horizon of the cavity-interval scan
-CAVITY_CELLS = 8000
 
 ESD = "ESD"
 ESB = "ESB"
@@ -121,6 +119,8 @@ def detect_events(pair, init, p, horizon, n_points=None):
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
+    if n_points is not None and n_points < 1:
+        raise ValueError(f"the detection grid needs at least 1 cell, got {n_points}")
     grid = _detection_grid(p, horizon, n_points)
     x = _pair_index(pair)
     f = lambda t: lambda_minus(pair, exact_squares(t, p)[x], init)
@@ -172,9 +172,13 @@ def weak_event_times(init, gamma):
     t_ESB = ln(beta/alpha)        / (4 gamma^2 kappa)
     window = ln(beta/alpha - 1)   / (4 gamma^2 kappa), only for beta > 2 alpha.
     """
+    if not (np.isfinite(gamma) and gamma > 0):
+        raise ValueError("gamma must be positive and finite")
     a, b = init.alpha, init.beta
     if b <= a:
         raise ValueError("weak-coupling ESD/ESB require beta > alpha")
+    if a == 0:
+        raise ValueError("alpha = 0 never crosses the ESD/ESB thresholds at finite time")
     pref = 1.0 / (4.0 * gamma**2)
     t_esd = pref * np.log(b / (b - a))
     t_esb = pref * np.log(b / a)
@@ -182,17 +186,15 @@ def weak_event_times(init, gamma):
     return WeakEventTimes(t_esd=t_esd, t_esb=t_esb, window=window)
 
 
-def _phase_horizon(p):
+def _cavity_peak(p):
+    """Time of the first (and highest) peak of |G_t|^2, where
+    tan(w t) = 4 w / kappa with w = omega_bar: t* = arctan(4 w / kappa) / w,
+    which is tanh(nu t*) = 4 nu / kappa when overdamped (w = i nu) and
+    t* = 4 / kappa at critical damping."""
     ob = p.omega_bar
-    horizon = 20.0 / p.kappa
-    if ob.real > 0:
-        horizon = max(horizon, 10.0 * np.pi / ob.real)
-    else:
-        # overdamped: |G|^2 peaks at tanh(nu t) = 4 nu / kappa
-        nu = ob.imag
-        x = min(4.0 * nu / p.kappa, 1.0 - 1e-12)
-        horizon = max(horizon, 3.0 * np.arctanh(x) / nu)
-    return horizon
+    z = 4.0 * ob / p.kappa
+    # arctan(z) / w = (4 / kappa)(1 - z^2 / 3 + ...)
+    return 4.0 / p.kappa if abs(z) < 1e-8 else float((np.arctan(z) / ob).real)
 
 
 def cavity_boundary(gamma):
@@ -200,18 +202,12 @@ def cavity_boundary(gamma):
     alpha/beta ratio above which the cavities entangle.
 
     |G_t|^2 = g_eff^2 |sin(w t) / w|^2 e^{-kappa t / 2} (w = omega_bar)
-    takes its largest value at its first peak, where tan(w t) = 4 w / kappa:
-    t* = arctan(4 w / kappa) / w, which is tanh(nu t*) = 4 nu / kappa when
-    overdamped (w = i nu) and t* = 4 / kappa at critical damping.
+    takes its largest value at its first peak, ``_cavity_peak``.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     p = SystemParams.from_geff(gamma)
-    ob = p.omega_bar
-    z = 4.0 * ob / p.kappa
-    # arctan(z) / w = (4 / kappa)(1 - z^2 / 3 + ...)
-    t_peak = 4.0 / p.kappa if abs(z) < 1e-8 else (np.arctan(z) / ob).real
-    return float(1.0 - exact_squares(t_peak, p)[1])
+    return float(1.0 - exact_squares(_cavity_peak(p), p)[1])
 
 
 def cavity_phase(gamma, ratio):
@@ -221,62 +217,47 @@ def cavity_phase(gamma, ratio):
     return "entangled" if ratio > cavity_boundary(gamma) else "unentangled"
 
 
-def _cavity_quiet_time(p, level):
-    """A time after which |G_t|^2 < level for good.
-
-    |G_t|^2 = g_eff^2 |sin(w t) / w|^2 e^{-kappa t / 2} with w = omega_bar
-    lies below g_eff^2 min(a^2, t^2) e^{-c t}, where
-      underdamped:          a = 1 / |w|,     c = kappa / 2,
-      overdamped (w = i nu): a = 1 / (2 nu),  c = kappa / 2 - 2 nu;
-    and t^2 e^{-c t} <= (4 / (e c))^2 e^{-c t / 2} keeps the bound finite
-    at critical damping, where a diverges.
-    """
-    ob = p.omega_bar
-    g2 = p.g_eff**2
-    if ob.real > 0:
-        a2, c = 1.0 / ob.real**2, p.kappa / 2.0
-    else:
-        nu = ob.imag
-        a2 = 1.0 / (4.0 * nu**2) if nu > 0 else np.inf
-        c = 4.0 * g2 / (p.kappa / 2.0 + 2.0 * nu)   # kappa/2 - 2 nu, no cancellation
-    t_exp = np.log(g2 * a2 / level) / c
-    t_poly = 2.0 * np.log(16.0 * g2 / (np.e**2 * c**2 * level)) / c
-    return max(0.0, min(t_exp, t_poly))
-
-
 def cavity_entangled_intervals(gamma, ratio):
     """Time intervals on which the cavity pair is entangled for
     alpha/beta = ratio (exact amplitudes): where 1 - |G_t|^2 < ratio.
 
-    The scan ends where an envelope of |G|^2 has fallen to half the
-    threshold 1 - ratio, so every crossing lies inside it; its spacing is
-    at most that of a CAVITY_CELLS grid on ``_phase_horizon``.  When
-    overdamped, |G|^2 peaks once, at tanh(nu t) = 4 nu / kappa, well
-    inside ``_phase_horizon``; the grid stops there and an ESD beyond it
-    is the single root left before the scan end.
+    |G_t|^2 is monotone between its closed-form critical points, so every
+    crossing has an exact bracket, refined by brentq to 1e-10 in time.
+    Underdamped (real w = omega_bar), |G|^2 vanishes at k pi / w and peaks
+    at t* + k pi / w (t* from ``_cavity_peak``), each peak e^{-kappa pi / 2w}
+    times the one before: an interval opens and closes around every peak
+    above 1 - ratio.  Overdamped or critically damped, |G|^2 peaks once,
+    at t*: the ESB lies in [0, t*], and the ESD past t* in the first of
+    [t*, 2t*], [2t*, 4t*], ... where f >= 0 again.  Raises ValueError if
+    the amplitudes overflow (kappa t ~ 2840) before that.
     """
     if not 0.0 < ratio < 1.0:
         raise ValueError("ratio alpha/beta must lie in (0, 1)")
     p = SystemParams.from_geff(gamma)
-    horizon = _phase_horizon(p)
-    t_end = _cavity_quiet_time(p, 0.5 * (1.0 - ratio))
-    overdamped = p.omega_bar.real == 0.0
-    grid_end = min(t_end, horizon) if overdamped else t_end
-    n = max(CAVITY_CELLS, int(np.ceil(grid_end * CAVITY_CELLS / horizon)))
-    ts = np.linspace(0.0, grid_end, n + 1)
     f = lambda t: (1.0 - exact_squares(t, p)[1]) - ratio
-    # f(0) = 1 - ratio > 0: crossings alternate entering and leaving
-    roots = [root for root, _ in _crossings(f, ts, f(ts), 1e-10)]
-    intervals = list(zip(roots[0::2], roots[1::2]))
-    if len(roots) % 2:
-        with np.errstate(over="ignore", invalid="ignore"):
-            finite = np.isfinite(f(t_end))
-        if not finite:
-            raise ValueError(
-                f"the cavity pair is still entangled at t = {grid_end:.6g} and "
-                f"disentangles past the range where the exact amplitudes are finite")
-        intervals.append((roots[-1], brentq(f, grid_end, t_end, xtol=1e-10)))
-    return intervals
+    t_peak = _cavity_peak(p)
+    if f(t_peak) >= 0.0:
+        return []
+    ob = p.omega_bar.real
+    if ob > 0.0:
+        half = np.pi / ob
+        # peak k stands at |G(t*)|^2 e^{-kappa k half / 2}: count those above
+        # 1 - ratio, plus one spare against rounding
+        efolds = np.log(exact_squares(t_peak, p)[1] / (1.0 - ratio))
+        peaks = t_peak + half * np.arange(int(efolds / (p.kappa * half / 2.0)) + 2)
+        return [(brentq(f, k * half, peaks[k], xtol=1e-10),
+                 brentq(f, peaks[k], (k + 1) * half, xtol=1e-10))
+                for k in np.flatnonzero(f(peaks) < 0.0)]
+    lo, hi = t_peak, 2.0 * t_peak
+    with np.errstate(over="ignore", invalid="ignore"):
+        # cosh and sinh overflow near kappa t ~ 2840, leaving f NaN or -inf
+        while np.isfinite(f_hi := f(hi)) and f_hi < 0.0:
+            lo, hi = hi, 2.0 * hi
+    if not np.isfinite(f_hi):
+        raise ValueError(
+            f"the cavity pair is still entangled at t = {lo:.6g} and "
+            f"disentangles past the range where the exact amplitudes are finite")
+    return [(brentq(f, 0.0, t_peak, xtol=1e-10), brentq(f, lo, hi, xtol=1e-10))]
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .amplitudes import amplitudes_exact, exact_squares
-from .errors import ConfigError, require_memory
+from .errors import require_memory
 
 
 @dataclass(frozen=True)
@@ -71,10 +71,10 @@ class ReservoirDiscretization:
     def recurrence_time(self):
         return 2.0 * np.pi / self.spacing if self.n_modes else np.inf
 
-    def validate(self, p, horizon, strict=True):
+    def validate(self, p, horizon):
         """Check that the discretization can fake a continuum over
         ``horizon``: no recurrence, and bandwidth well above every system
-        rate.  Warns (or raises with strict=True) on violation."""
+        rate.  Warns on each violation; True if there is none."""
         problems = []
         if self.recurrence_time <= horizon:
             problems.append(
@@ -83,8 +83,6 @@ class ReservoirDiscretization:
         if self.bandwidth < floor:
             problems.append(f"bandwidth {self.bandwidth:.3g} < {floor:.3g}")
         for msg in problems:
-            if strict:
-                raise ConfigError(msg)
             warnings.warn(msg, stacklevel=2)
         return not problems
 
@@ -394,7 +392,11 @@ class CollectiveChain:
         return self.depth < self.requested_depth
 
 
-def collective_chain(d, depth, breakdown_tol=1e-13):
+# residual norm below which the collective chain stops early
+CHAIN_BREAKDOWN_TOL = 1e-13
+
+
+def collective_chain(d, depth):
     """Orthogonal one-excitation reservoir states reachable from the
     coupling-weighted mode |1bar_0> under the free bath evolution.
 
@@ -402,7 +404,7 @@ def collective_chain(d, depth, breakdown_tol=1e-13):
     image under diag(omega - omega_k) orthogonalized against everything
     before (with full reorthogonalization for numerical safety).  Stops
     early, flagging truncation, if the residual norm drops below
-    ``breakdown_tol``.
+    CHAIN_BREAKDOWN_TOL.
     """
     n = d.n_modes
     if depth > n:
@@ -420,7 +422,7 @@ def collective_chain(d, depth, breakdown_tol=1e-13):
         for u in vecs:
             w -= (u @ w) * u
         nrm = np.linalg.norm(w)
-        if nrm < breakdown_tol:
+        if nrm < CHAIN_BREAKDOWN_TOL:
             break
         betas.append(float(nrm))
         vecs.append(w / nrm)

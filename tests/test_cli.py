@@ -156,6 +156,9 @@ class TestExitCodes:
 
     def test_bad_grid(self, capsys):
         assert main(["amplitudes", "--geff", "5", "--t-max", "-1"]) == 2
+        for steps in ("0", "-3"):
+            assert main(["events", "--geff", "0.1", "--steps", steps]) == 2
+            assert "at least 1 cell" in capsys.readouterr().err
 
     def test_validate_pass(self, tmp_path):
         status, out = run(tmp_path, "validate", "--t-max", "5",

@@ -3,7 +3,7 @@ cavity phase diagram."""
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from entransfer.amplitudes import SystemParams, exact_squares
@@ -64,6 +64,14 @@ class TestClosedFormTimes:
         wt = weak_event_times(InitialAmplitudes.from_ratio(2.0 + 1e-9), gamma=0.1)
         assert wt.window == pytest.approx(0.0, abs=1e-6)
 
+    def test_weak_times_reject_bad_inputs(self):
+        init = InitialAmplitudes.from_ratio(3.0)
+        for gamma in (0.0, -0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="gamma"):
+                weak_event_times(init, gamma=gamma)
+        with pytest.raises(ValueError, match="alpha = 0"):
+            weak_event_times(InitialAmplitudes(alpha=0.0, beta=1.0), gamma=0.1)
+
     def test_weak_times_scale_with_gamma(self):
         init = InitialAmplitudes.from_ratio(3.0)
         a = weak_event_times(init, gamma=0.1)
@@ -121,6 +129,13 @@ class TestDetectEvents:
         init = InitialAmplitudes.from_ratio(1.5)
         with pytest.raises(ConfigError):
             detect_events("a1a2", init, P_STRONG, 50.0, n_points=100)
+
+    def test_empty_grid_rejected(self):
+        # overdamped, the period check accepts any grid size
+        init = InitialAmplitudes.from_ratio(1.5)
+        for n in (0, -3):
+            with pytest.raises(ValueError, match="at least 1 cell"):
+                detect_events("a1a2", init, P_WEAK, 60.0, n_points=n)
 
     def test_a1a2_esd_in_first_grid_cell(self):
         # a1a2 starts at lambda = -alpha beta, and for beta / alpha = 1e6
@@ -226,16 +241,18 @@ class TestCavityPhase:
     @pytest.mark.parametrize("gamma, ratio, horizon", [
         (0.1, 0.985, 60.0),         # overdamped, ESD at 27.67
         (0.05, 0.995, 150.0),       # overdamped, ESD at 72.66
-        (5.0, 1.0 - 1e-5, 40.0),    # underdamped, last ESD at 22.99
+        (5.0, 1.0 - 1e-5, 40.0),    # underdamped, 37 intervals, last ESD at 22.99
         (0.25, 0.99, 60.0),         # critical damping, ESD at 14.31
     ])
     def test_entangled_intervals_reach_the_last_esd(self, gamma, ratio, horizon):
-        # a scan ending at _phase_horizon cut the first three at ~20 / kappa;
-        # at critical damping that horizon is ~6e9 / kappa, too coarse to
-        # see any crossing
+        # the first three end past 20 / kappa; at critical damping no
+        # oscillation period sets the time scale
         p = SystemParams.from_geff(gamma)
         intervals = cavity_entangled_intervals(gamma, ratio)
-        assert intervals
+        # one interval around each peak of |G|^2 above 1 - ratio; at
+        # gamma = 5 the gap near t = pi / 5 is only ~0.0015 wide, which a
+        # scan coarser than that merges into one interval
+        assert len(intervals) == (37 if gamma == 5.0 else 1)
         for ends in intervals:
             for t in ends:
                 assert abs((1.0 - exact_squares(t, p)[1]) - ratio) < 1e-9
@@ -252,6 +269,31 @@ class TestCavityPhase:
         # amplitudes overflow: an error, not a truncated interval
         with pytest.raises(ValueError, match="finite"):
             cavity_entangled_intervals(0.01, 0.9999)
+
+    @pytest.mark.filterwarnings("ignore:Delta is not large")
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(gamma=log_uniform(0.05, 10.0), gap=log_uniform(1e-6, 0.5))
+    def test_entangled_intervals_match_a_dense_scan(self, gamma, gap):
+        ratio = 1.0 - gap
+        try:
+            intervals = cavity_entangled_intervals(gamma, ratio)
+        except ValueError as exc:
+            if "finite" not in str(exc):
+                raise
+            reject()    # an ESD past kappa t ~ 2840, where the amplitudes overflow
+        p = SystemParams.from_geff(gamma)
+        f = lambda t: (1.0 - exact_squares(t, p)[1]) - ratio
+        ends = np.ravel(intervals)
+        assert np.all(np.diff(ends) > 0.0)
+        assert np.all(np.abs(f(ends)) < 1e-9)
+        ts, step = np.linspace(0.0, 1.1 * ends[-1] if intervals else 100.0,
+                               200001, retstep=True)
+        # inside an interval after an odd number of ends; the ends next to
+        # ts are padded[i] and padded[i + 1]
+        i = np.searchsorted(ends, ts)
+        padded = np.concatenate(([-np.inf], ends, [np.inf]))
+        near = np.minimum(ts - padded[i], padded[i + 1] - ts) <= step
+        assert np.all(((f(ts) < 0.0) == (i % 2 == 1)) | near)
 
     def test_phase_diagram_grid(self):
         gammas = np.array([0.05, 0.1, 0.3])

@@ -133,10 +133,8 @@ class TestDiscretization:
         good = ReservoirDiscretization(n_modes=2000, bandwidth=200.0)
         assert good.validate(p, 10.0)
         bad = ReservoirDiscretization(n_modes=20, bandwidth=2.0)
-        with pytest.raises(ConfigError):
-            bad.validate(p, 10.0)
         with pytest.warns(UserWarning):
-            assert not bad.validate(p, 10.0, strict=False)
+            assert not bad.validate(p, 10.0)
 
     def test_rejects_negative_modes(self):
         with pytest.raises(ValueError):
