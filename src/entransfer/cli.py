@@ -292,9 +292,6 @@ def cmd_events(args):
     p = _resolve_params(args)
     init = _resolve_initial(args)
     pairs = _resolve_pairs(args)
-    for pair in pairs:
-        if pair not in DIAGONAL_PAIRS:
-            raise ConfigError(f"event detection supports a1a2/c1c2/r1r2, got {pair!r}")
     _require_detection_grid(args, p)
     found = [ev for pair in pairs
              for ev in detect_events(pair, init, p, args.t_max, n_points=args.steps)]

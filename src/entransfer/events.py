@@ -1,10 +1,8 @@
 """Sudden-death/birth/revival detection and the cavity phase diagram.
 
-Event detection works on the smooth partial-transpose eigenvalue
-lambda_-(t) of the closed-form pair matrices rather than on the clipped
-concurrence: root bracketing needs sign changes, not flat zeros.  A pair
-is entangled where lambda_- < 0.  Times are in units of 1/kappa and
-rates in units of kappa (kappa = 1).
+Event detection brackets sign changes, so it works on the smooth g = -C/2
+of a pair on different chains, not on the clipped concurrence C.  Times are
+in units of 1/kappa and rates in units of kappa (kappa = 1).
 """
 
 from dataclasses import dataclass
@@ -16,11 +14,8 @@ from scipy.optimize import brentq, minimize_scalar  # noqa: F401
 
 from .amplitudes import SystemParams, exact_squares
 from .errors import ConfigError
-from .jointstate import DIAGONAL_PAIRS, PAIR_LABELS, lambda_minus
+from .jointstate import DIAGONAL_PAIRS, PAIR_LABELS
 
-# concurrence below this counts as unentangled (numerical floor of the
-# closed forms)
-ZERO_THRESHOLD = 1e-12
 # least detection-grid points per Rabi period, and least grid cells
 POINTS_PER_PERIOD = 40
 MIN_CELLS = 2000
@@ -37,11 +32,28 @@ class EventRecord:
     time: float     # units 1/kappa
 
 
-def _pair_index(pair):
-    if pair not in DIAGONAL_PAIRS:
-        raise ValueError(f"event detection requires a pair with a closed-form "
-                         f"lambda (a1a2, c1c2, r1r2), got {pair!r}")
-    return DIAGONAL_PAIRS.index(pair)
+def _cross_pair(pair, init, squares):
+    """g = -C/2 of a pair on different chains at ``squares =
+    exact_squares(t, p)``: with x^2, y^2 the squares of its two subsystems,
+    g = beta x y (beta sqrt((1 - x^2)(1 - y^2)) - alpha), which for x = y
+    is ``lambda_minus`` to the last bit."""
+    x2, y2 = (squares["acr".index(pair[k])] for k in (0, 2))
+    a, b = init.alpha, init.beta
+    # |E|^2 can round to 1 + 4e-16 near t = 0, making the product negative
+    rest = np.sqrt(np.maximum(0.0, (1.0 - x2) * (1.0 - y2)))
+    return b * np.sqrt(x2 * y2) * (b * rest - a)
+
+
+def _cross_margin(pair, init, squares):
+    """(margin, live): where ``live`` (beta x^2 y^2 > 0), g has the sign of
+    beta^2 q - alpha^2, q = (1 - x^2)(1 - y^2), else C = 0.  Where q > 1/2 it
+    is taken as (beta - alpha)(beta + alpha) - beta^2 (x^2 + y^2 - x^2 y^2),
+    which keeps the small x^2, y^2 that 1 - x^2 rounds away."""
+    x2, y2 = (squares["acr".index(pair[k])] for k in (0, 2))
+    a, b = init.alpha, init.beta
+    q = (1.0 - x2) * (1.0 - y2)
+    return (np.where(q > 0.5, (b - a) * (b + a) - b**2 * (x2 + y2 - x2 * y2),
+                     b**2 * q - a**2), b * x2 * y2 > 0.0)
 
 
 def concurrence_series(pair, init, p, grid):
@@ -61,8 +73,7 @@ def concurrence_series(pair, init, p, grid):
     * different chains (a1a2, a1c2, ...): the coherence alpha beta x y
       links |00> and |11>, and rho_11 rho_22 =
       beta^4 x^2 y^2 (1 - x^2)(1 - y^2), giving
-      C = max(0, -2 beta sqrt(x^2 y^2) (beta sqrt((1 - x^2)(1 - y^2)) - alpha)),
-      which for x = y is max(0, -2 lambda_-) of ``lambda_minus``.
+      C = max(0, -2 g) with g of ``_cross_pair``.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
@@ -72,69 +83,57 @@ def concurrence_series(pair, init, p, grid):
     if pair not in PAIR_LABELS:
         raise ValueError(f"unknown pair label {pair!r}")
     squares = exact_squares(grid, p)
-    x2, y2 = (squares["acr".index(pair[k])] for k in (0, 2))
-    a, b = init.alpha, init.beta
-    xy = np.sqrt(x2 * y2)
-    if pair[1] == pair[3]:          # same chain
-        return 2.0 * b**2 * xy
-    # |E|^2 can round to 1 + 4e-16 near t = 0, making the product negative
-    rest = np.sqrt(np.maximum(0.0, (1.0 - x2) * (1.0 - y2)))
-    return np.maximum(0.0, -2.0 * b * xy * (b * rest - a))
+    if pair[1] != pair[3]:
+        return np.maximum(0.0, -2.0 * _cross_pair(pair, init, squares))
+    x2, y2 = (squares["acr".index(pair[k])] for k in (0, 2))   # same chain
+    return 2.0 * init.beta**2 * np.sqrt(x2 * y2)
 
 
 def _detection_grid(p, horizon, n_points):
-    ob = p.omega_bar
-    if ob.real > 0:
-        period = 2.0 * np.pi / ob.real
-        needed = int(np.ceil(POINTS_PER_PERIOD * horizon / period))
-    else:
-        needed = 0
+    period = 2.0 * np.pi / p.omega_bar.real if p.omega_bar.real > 0 else np.inf
+    needed = int(np.ceil(POINTS_PER_PERIOD * horizon / period))
     n = max(MIN_CELLS, needed) if n_points is None else int(n_points)
-    if ob.real > 0 and n < needed:
+    if n < needed:
         raise ConfigError(
             f"{n} grid points is too coarse for oscillation period {period:.3g}; "
             f"need at least {needed}")
     return np.linspace(0.0, horizon, n + 1)
 
 
-def _crossings(f, grid, values, xtol):
-    """(root, falling) for every grid cell over which ``values = f(grid)``
-    changes sign from a nonzero left value, refined by brentq to ``xtol``;
-    ``falling`` is True where f goes from positive to negative."""
-    cells = np.flatnonzero((values[:-1] != 0.0)
-                           & (np.sign(values[:-1]) != np.sign(values[1:])))
-    return [(brentq(f, grid[i], grid[i + 1], xtol=xtol), values[i] > 0.0)
-            for i in cells]
-
-
 def detect_events(pair, init, p, horizon, n_points=None):
-    """Locate all ESD/ESB/ESR events of a closed-form pair on (0, horizon].
+    """ESD/ESB/ESR events on [0, horizon] of a pair on different chains
+    (same-chain pairs, C = 2 beta^2 |x y|, only touch zero).
 
-    Sign changes of lambda_-(t) are bracketed on a grid of ``n_points``
-    cells, by default at least POINTS_PER_PERIOD points per Rabi period
-    and MIN_CELLS cells, and refined by brentq to 1e-8 in time.  A
-    positive-going zero ends an entangled interval (ESD); a
-    negative-going zero starts one (ESB the first time, ESR afterwards).
-    Two crossings closer together than one cell can go unseen.
+    The ``_cross_margin`` sign is read at t = 0 and at the live points of a
+    grid of ``n_points`` cells (default: POINTS_PER_PERIOD per Rabi period,
+    at least MIN_CELLS), and each change is refined by brentq to 1e-8 in
+    time: an ESD, or an ESB the first time and an ESR afterwards; an ESB at
+    0 if C(0) = 0 < C just after.  Two crossings in one cell can go unseen.
     """
+    if pair not in PAIR_LABELS or pair[1] == pair[3]:
+        raise ValueError(f"event detection takes a pair on different chains "
+                         f"(a1a2, a1c2, ...), got {pair!r}")
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     if n_points is not None and n_points < 1:
         raise ValueError(f"the detection grid needs at least 1 cell, got {n_points}")
     grid = _detection_grid(p, horizon, n_points)
-    x = _pair_index(pair)
-    f = lambda t: lambda_minus(pair, exact_squares(t, p)[x], init)
-    lam = f(grid)
-
-    events = []
-    # a1a2 starts at lambda = -alpha beta; c1c2 and r1r2 start at exactly
-    # 0, and the first grid point decides whether they are born entangled
-    ever_entangled = lam[0] < 0.0 or lam[1] < 0.0
-    if lam[0] == 0.0 and lam[1] < 0.0:
-        events.append(EventRecord(kind=ESB, pair=pair, time=0.0))
-    for root, falling in _crossings(f, grid, lam, 1e-8):
-        # falling: unentangled -> entangled; rising: entangled -> unentangled
-        kind = (ESR if ever_entangled else ESB) if falling else ESD
+    squares = exact_squares(grid, p)
+    g, (margin, live) = _cross_pair(pair, init, squares), _cross_margin(pair, init, squares)
+    # C(0) = 0 for all pairs but a1a2; the margin at t = 0 is the sign just after
+    born, live[0] = not live[0], init.beta > 0.0
+    live = np.flatnonzero(live)
+    entangled = margin[live] < 0.0
+    g_at = lambda t: _cross_pair(pair, init, exact_squares(t, p))
+    margin_at = lambda t: _cross_margin(pair, init, exact_squares(t, p))[0]
+    ever_entangled = entangled[:1].any()
+    events = [EventRecord(ESB, pair, 0.0)] if born and ever_entangled else []
+    for k in np.flatnonzero(entangled[:-1] != entangled[1:]):
+        lo, hi = live[k], live[k + 1]
+        # refine on g, or on the margin where g has rounded to one sign
+        f = g_at if np.sign(g[lo]) * np.sign(g[hi]) < 0.0 else margin_at
+        root = brentq(f, grid[lo], grid[hi], xtol=1e-8)
+        kind = ESD if entangled[k] else ESR if ever_entangled else ESB
         events.append(EventRecord(kind=kind, pair=pair, time=root))
         ever_entangled = True
     return events
@@ -282,23 +281,24 @@ def phase_diagram(gammas, ratios):
 
 
 def dead_window(init, p, horizon):
-    """Maximal interval on which a1a2, c1c2 and r1r2 are simultaneously
-    unentangled; None if there is no such interval (or no entanglement at
-    all to begin with)."""
+    """Widest interval on which no pair on different chains is entangled;
+    None if there is none (or no entanglement at all to begin with).
+
+    Only a1a2, c1c2 and r1r2 need a scan: where all three are unentangled,
+    beta (1 - x^2) >= alpha for x^2 = |E|^2, |G|^2 and R^2, and the product
+    of two of these, beta^2 (1 - x^2)(1 - y^2) >= alpha^2, leaves the other
+    six unentangled too.  The window is the widest gap in the union of the
+    intervals their alternating events bound (a1a2 starts entangled).
+    """
     if init.alpha * init.beta == 0:
         return None
-    per_pair = {pair: detect_events(pair, init, p, horizon) for pair in DIAGONAL_PAIRS}
-    cuts = sorted({0.0, horizon} | {ev.time for evs in per_pair.values() for ev in evs})
-    best = None
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if hi - lo < 1e-9:
-            continue
-        mid = 0.5 * (lo + hi)
-        x2s = exact_squares(mid, p)
-        dead = all(
-            max(0.0, -2.0 * lambda_minus(pair, x2s[i], init)) < ZERO_THRESHOLD
-            for i, pair in enumerate(DIAGONAL_PAIRS)
-        )
-        if dead and (best is None or hi - lo > best[1] - best[0]):
-            best = (lo, hi)
-    return best
+    covered = []
+    for pair in DIAGONAL_PAIRS:
+        ends = [0.0] if pair == "a1a2" else []
+        ends += [ev.time for ev in detect_events(pair, init, p, horizon)]
+        covered += zip(ends[::2], ends[1::2] + [horizon])
+    gaps, reach = [], 0.0
+    for lo, hi in sorted(covered) + [(horizon, horizon)]:
+        gaps += [(reach, lo)] if lo > reach else []
+        reach = max(reach, hi)
+    return max(gaps, key=lambda gap: gap[1] - gap[0], default=None)

@@ -33,6 +33,8 @@ import numpy as np
 from .amplitudes import amplitudes_exact, exact_squares
 from .errors import require_memory
 
+_ERROR_SAMPLES = 201    # times in [0, horizon] that discretized_errors compares
+
 
 @dataclass(frozen=True)
 class ReservoirDiscretization:
@@ -513,16 +515,16 @@ def lindblad_max_error(p, grid):
     ))
 
 
-def discretized_errors(p, d, horizon, n_samples=201):
+def discretized_errors(p, d, horizon):
     """(amplitude_error, leakage) of the discretized-reservoir oracle over
-    ``n_samples`` times in [0, horizon], from one secular solve.
+    ``_ERROR_SAMPLES`` times in [0, horizon], from one secular solve.
 
     amplitude_error is the max deviation of |E|^2, |G|^2 and R^2 from the
     closed forms, with R^2 the summed reservoir-mode population; leakage
     is the max population of the far-detuned intermediate level, the
     size of the term the closed forms drop.
     """
-    ts = np.linspace(0.0, horizon, n_samples)
+    ts = np.linspace(0.0, horizon, _ERROR_SAMPLES)
     pops = populations(p, d, ts)
     e2, g2, r2 = exact_squares(ts, p)
     amplitude_error = max(np.max(np.abs(pops[:, 0] - e2)),

@@ -147,6 +147,9 @@ class TestExitCodes:
     def test_unknown_pair(self, capsys):
         assert main(["concurrence", "--geff", "5", "--pairs", "a1b9"]) == 2
         assert "a1b9" in capsys.readouterr().err
+        # a same-chain pair has no finite-time crossings to detect
+        assert main(["events", "--geff", "5", "--pairs", "a1c1"]) == 2
+        assert "different chains" in capsys.readouterr().err
 
     def test_missing_coupling(self, capsys):
         assert main(["concurrence", "--ratio", "1.5"]) == 2
@@ -233,6 +236,20 @@ class TestMisc:
         found, t_start, t_end, _ = capsys.readouterr().out.strip().split("\n")[1].split(",")
         assert found == "1" and t_end == "3"
         assert float(t_start) == pytest.approx(2.0e-4, rel=1e-3)
+
+    @pytest.mark.parametrize("ratio", ["1", "0.5"])
+    def test_no_false_events_far_out(self, ratio, capsys):
+        # a1a2 stays entangled: rounding (ratio 1) and underflow (ratio 0.5)
+        # of its closed form must not read as sudden deaths
+        assert main(["events", "--geff", "5", "--ratio", ratio, "--t-max", "4000",
+                     "--pairs", "a1a2"]) == 0
+        assert capsys.readouterr().out == "kind,pair,time\n"
+
+    def test_events_of_pairs_across_cavity_and_reservoir(self, capsys):
+        assert main(["events", "--geff", "0.1", "--ratio", "3", "--t-max", "60",
+                     "--pairs", "a1c2,c1r2"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.split()[1:]]
+        assert {row[1] for row in rows} == {"a1c2", "c1r2"}
 
     def test_regimes(self, capsys):
         for regime in ("exact", "strong", "weak"):

@@ -23,7 +23,6 @@ from entransfer.events import (
     weak_event_times,
 )
 from entransfer.jointstate import (
-    DIAGONAL_PAIRS,
     PAIR_LABELS,
     InitialAmplitudes,
     lambda_minus,
@@ -32,6 +31,8 @@ from entransfer.jointstate import (
 
 P_STRONG = SystemParams.from_geff(5.0)
 P_WEAK = SystemParams.from_geff(0.1)
+SAME_CHAIN = tuple(pair for pair in PAIR_LABELS if pair[1] == pair[3])
+DIFFERENT_CHAINS = tuple(pair for pair in PAIR_LABELS if pair[1] != pair[3])
 
 
 def lam_at(pair, t, init, p):
@@ -140,18 +141,56 @@ class TestDetectEvents:
     def test_a1a2_esd_in_first_grid_cell(self):
         # a1a2 starts at lambda = -alpha beta, and for beta / alpha = 1e6
         # its ESD (|E|^2 = 1 - alpha / beta) comes at t ~ 2e-4, inside the
-        # first of 2000 cells on [0, 3]
-        init = InitialAmplitudes.from_ratio(1e6)
-        events = detect_events("a1a2", init, P_STRONG, 3.0)
-        assert [ev.kind for ev in events] == [ESD]
-        assert 0.0 < events[0].time < 3.0 / 2000
-        assert abs(lam_at("a1a2", events[0].time, init, P_STRONG)) < 1e-8
-        assert lam_at("a1a2", 0.5 * events[0].time, init, P_STRONG) < 0.0
+        # first of 2000 cells on [0, 3]; at 1e9 it comes at t ~ 6.3e-6,
+        # where beta^2 - alpha^2 - beta^2 s would have lost 1 - |E|^2
+        for ratio in (1e6, 1e9):
+            init = InitialAmplitudes.from_ratio(ratio)
+            events = detect_events("a1a2", init, P_STRONG, 3.0)
+            assert [ev.kind for ev in events] == [ESD]
+            assert 0.0 < events[0].time < 3.0 / 2000
+            assert events[0].time == pytest.approx(0.2 / np.sqrt(ratio), rel=1e-3)
+            assert abs(lam_at("a1a2", events[0].time, init, P_STRONG)) < 1e-8
+            assert lam_at("a1a2", 0.5 * events[0].time, init, P_STRONG) < 0.0
+
+    def test_cross_pair_born_and_dead_in_first_grid_cell(self):
+        # a1c2 has C(0) = 0 and is entangled just after, while
+        # beta^2 (1 - |E|^2) < alpha^2: until g_eff t ~ alpha / beta, here
+        # t ~ 1e-3, inside the first of 2000 cells on [0, 30]
+        init = InitialAmplitudes.from_ratio(1e4)
+        events = detect_events("a1c2", init, P_WEAK, 30.0)
+        assert [(ev.kind, ev.time) for ev in events[:1]] == [(ESB, 0.0)]
+        assert [ev.kind for ev in events[1:]] == [ESD]
+        assert events[1].time == pytest.approx(1e-3, rel=1e-3)
+        c = concurrence_series("a1c2", init, P_WEAK, np.array([0.5, 1.0]) * events[1].time)
+        assert c[0] > 0.0 and c[1] < 2e-8
+
+    def test_root_where_g_rounds_to_one_sign(self):
+        # beta - alpha = 3.3e-16: a1c2 dies where
+        # |E|^2 + |G|^2 - |E|^2 |G|^2 = (beta^2 - alpha^2) / beta^2 ~ 9e-16, at
+        # t ~ 69, where beta sqrt(q) - alpha has rounded to one sign on both
+        # sides of the root and only the margin still brackets it
+        init = InitialAmplitudes.from_ratio(1.0 + 4.4e-16)
+        events = detect_events("a1c2", init, P_STRONG, 800.0)
+        assert [ev.kind for ev in events] == [ESB, ESD]
+        e2, g2, _ = exact_squares(events[1].time, P_STRONG)
+        a, b = init.alpha, init.beta
+        assert e2 + g2 - e2 * g2 == pytest.approx((b - a) * (b + a) / b**2, rel=1e-6)
 
     def test_interacting_pair_rejected(self):
         init = InitialAmplitudes.from_ratio(1.5)
-        with pytest.raises(ValueError):
-            detect_events("a1c1", init, P_STRONG, 3.0)
+        for pair in SAME_CHAIN:
+            with pytest.raises(ValueError, match="different chains"):
+                detect_events(pair, init, P_STRONG, 3.0)
+        for pair in DIFFERENT_CHAINS:
+            detect_events(pair, init, P_STRONG, 3.0)
+
+    @pytest.mark.parametrize("ratio", [1.0, 0.5])
+    def test_no_false_esd_when_rounding_or_underflow_flattens_lambda(self, ratio):
+        # a1a2 is entangled at every finite time here: from t ~ 63 on,
+        # 1 - |E|^2 rounds to 1 (beta (1 - |E|^2) - alpha = 0 at ratio 1),
+        # and from t ~ 1476 on beta |E|^2 (...) underflows to 0 (ratio 0.5)
+        init = InitialAmplitudes.from_ratio(ratio)
+        assert detect_events("a1a2", init, P_STRONG, 4000.0) == []
 
 
 def log_uniform(lo, hi):
@@ -161,7 +200,7 @@ def log_uniform(lo, hi):
 class TestDetectEventsProperties:
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(gamma=log_uniform(0.05, 5.0), ratio=log_uniform(1e-3, 1e6),
-           horizon=log_uniform(1.0, 60.0), pair=st.sampled_from(DIAGONAL_PAIRS))
+           horizon=log_uniform(1.0, 60.0), pair=st.sampled_from(DIFFERENT_CHAINS))
     def test_events_split_time_into_signed_intervals(self, gamma, ratio,
                                                      horizon, pair):
         # near alpha = beta one grid cell can hold two crossings
@@ -169,19 +208,23 @@ class TestDetectEventsProperties:
         p = SystemParams.from_geff(gamma)
         init = InitialAmplitudes.from_ratio(ratio)
         events = detect_events(pair, init, p, horizon)
+        conc = lambda t: concurrence_series(pair, init, p, np.array([t]))[0]
 
         def holds(lo, hi, entangled):
-            lam = lam_at(pair, 0.5 * (lo + hi), init, p)
-            return hi == lo or (lam < 0.0) == entangled
+            mid = 0.5 * (lo + hi)
+            x2, y2 = (exact_squares(mid, p)["acr".index(pair[k])] for k in (0, 2))
+            # near t = 0, R^2 ~ t^3 can round to 0 and leave C = 0 with no sign
+            return hi == lo or x2 * y2 == 0.0 or (conc(mid) > 0.0) == entangled
 
-        # a1a2 starts entangled (alpha beta > 0), c1c2 and r1r2 do not
+        # a1a2 starts entangled (alpha beta > 0); every other pair holds a
+        # cavity or a reservoir, which starts empty
         entangled = ever = pair == "a1a2"
         t_prev = 0.0
         for ev in events:
             assert ev.kind == (ESD if entangled else ESR if ever else ESB)
             assert t_prev <= ev.time and holds(t_prev, ev.time, entangled)
             if ev.time > 0.0:
-                assert abs(lam_at(pair, ev.time, init, p)) < 1e-8
+                assert conc(ev.time) < 2e-8
             entangled, ever, t_prev = not entangled, True, ev.time
         assert holds(t_prev, horizon, entangled)
 
@@ -328,3 +371,19 @@ class TestDeadWindow:
     def test_absent_without_superposition(self):
         init = InitialAmplitudes(alpha=0.0, beta=1.0)
         assert dead_window(init, P_WEAK, 60.0) is None
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(gamma=log_uniform(0.05, 10.0), ratio=st.floats(2.01, 50.0),
+           horizon=log_uniform(5.0, 80.0))
+    def test_every_pair_on_different_chains_dead_inside(self, gamma, ratio,
+                                                        horizon):
+        # the window comes from a1a2, c1c2 and r1r2 alone; by the proof in
+        # dead_window's docstring the six other pairs are dead there too
+        p = SystemParams.from_geff(gamma)
+        init = InitialAmplitudes.from_ratio(ratio)
+        win = dead_window(init, p, horizon)
+        if win is None:
+            return
+        ts = np.linspace(*win, 9)[1:-1]
+        for pair in DIFFERENT_CHAINS:
+            assert np.all(concurrence_series(pair, init, p, ts) == 0.0), pair
