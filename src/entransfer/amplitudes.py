@@ -50,7 +50,7 @@ class SystemParams:
                 "Delta is not large compared to the couplings "
                 f"(Delta={self.Delta}, g={self.g}, Omega={self.Omega}); "
                 "the effective two-level description degrades",
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @property
@@ -149,10 +149,13 @@ def amplitudes_exact(t, p):
 
 
 def exact_squares(t, p):
-    """(|E|^2, |G|^2, R^2) from the exact amplitudes; array-aware."""
+    """(|E|^2, |G|^2, R^2) from the exact amplitudes; array-aware, and a
+    scalar t gives the bits of the same t in an array."""
     e, g = _eg(t, p)
-    e2 = np.abs(e) ** 2
-    g2 = np.abs(g) ** 2
+    # np.square, not ** 2: a numpy scalar squares by pow(), which misrounds
+    # about one square in a thousand that an array squares exactly
+    e2 = np.square(np.abs(e))
+    g2 = np.square(np.abs(g))
     return e2, g2, np.clip(1.0 - e2 - g2, 0.0, None)
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entransfer.amplitudes import (
     SystemParams,
@@ -56,8 +58,10 @@ class TestSystemParams:
             SystemParams.from_geff(np.nan)
 
     def test_small_detuning_warns(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning, match="Delta is not large") as record:
             SystemParams(g=10.0, Omega=10.0, Delta=20.0)
+        # at the caller, not in the dataclass-generated __init__ ("<string>")
+        assert record[0].filename == __file__
 
     def test_gamma_infinite_without_decay(self):
         p = SystemParams(g=50.0, Omega=50.0, Delta=500.0, kappa=0.0)
@@ -111,6 +115,20 @@ class TestExactAmplitudes:
             assert one.E == pytest.approx(arr.E[i])
             assert one.G == pytest.approx(arr.G[i])
             assert one.R == pytest.approx(arr.R[i])
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(g_eff=st.one_of(st.floats(0.01, 0.249),         # overdamped
+                           st.just(0.25),                   # critically damped
+                           st.floats(0.251, 20.0)),         # underdamped
+           seed=st.integers(0, 2**32 - 1))
+    def test_scalar_and_array_squares_agree_bit_for_bit(self, g_eff, seed):
+        p = params_geff(g_eff)
+        ts = np.random.default_rng(seed).uniform(0.0, 50.0, 300)
+        # at g_eff = 1.1246 this |E|^2 is where pow(x, 2), a numpy scalar's
+        # ** 2, misrounds the x * x of the array path
+        ts[0] = float.fromhex("0x1.589127c3c088cp-6")
+        arr = np.array(exact_squares(ts, p)).T
+        assert arr.tobytes() == np.array([exact_squares(t, p) for t in ts]).tobytes()
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):

@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import entransfer
 from entransfer.cli import main
 from entransfer.events import EventRecord
 
@@ -250,6 +253,13 @@ class TestMisc:
                      "--pairs", "a1c2,c1r2"]) == 0
         rows = [line.split(",") for line in capsys.readouterr().out.split()[1:]]
         assert {row[1] for row in rows} == {"a1c2", "c1r2"}
+
+    def test_cli_import_leaves_scipy_out(self):
+        # a fresh isolated interpreter: the test process itself has scipy loaded
+        src = os.path.dirname(os.path.dirname(entransfer.__file__))
+        code = (f"import sys; sys.path.insert(0, {src!r}); import entransfer.cli; "
+                "assert 'scipy' not in sys.modules")
+        subprocess.run([sys.executable, "-I", "-c", code], check=True, timeout=120)
 
     def test_regimes(self, capsys):
         for regime in ("exact", "strong", "weak"):

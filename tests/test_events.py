@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq as scipy_brentq
 
+from entransfer import _roots
+from entransfer import events as events_module
 from entransfer.amplitudes import SystemParams, exact_squares
 from entransfer.errors import ConfigError
 from entransfer.events import (
@@ -387,3 +390,86 @@ class TestDeadWindow:
         ts = np.linspace(*win, 9)[1:-1]
         for pair in DIFFERENT_CHAINS:
             assert np.all(concurrence_series(pair, init, p, ts) == 0.0), pair
+
+
+def recorded_brackets(search):
+    """(f, a, b, xtol) of every root-finder call that ``search()`` makes."""
+    calls = []
+
+    def spy(f, a, b, xtol):
+        calls.append((f, np.asarray(a, dtype=float), np.asarray(b, dtype=float), xtol))
+        return _roots.brentq(f, a, b, xtol)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(events_module, "brentq", spy)
+        search()
+    return calls
+
+
+def assert_scipy_roots(calls):
+    """Each lane's root equals scipy's brentq on that lane, bit for bit;
+    returns the number of lanes."""
+    lanes = 0
+    for f, a, b, xtol in calls:
+        roots = _roots.brentq(f, a, b, xtol)
+        for k in range(a.size):
+            lane = lambda t: f(np.full(a.size, t))[k]
+            assert float(roots[k]).hex() == scipy_brentq(lane, a[k], b[k], xtol=xtol).hex()
+        lanes += a.size
+    return lanes
+
+
+@pytest.mark.filterwarnings("ignore:Delta is not large")
+class TestBatchedBrentq:
+    def test_detect_events_brackets_match_scipy(self):
+        rng = np.random.default_rng(20)
+        calls = []
+        for _ in range(100):
+            gamma = np.exp(rng.uniform(np.log(0.05), np.log(10.0)))
+            ratio = rng.choice([rng.uniform(1.0, 4.0), rng.uniform(0.2, 1.0),
+                                np.exp(rng.uniform(0.0, np.log(1e6)))])
+            horizon = np.exp(rng.uniform(0.0, np.log(80.0)))
+            p, init = SystemParams.from_geff(gamma), InitialAmplitudes.from_ratio(ratio)
+            for pair in ("a1a2", "c1c2", "r1r2"):
+                calls += recorded_brackets(lambda: detect_events(pair, init, p, horizon))
+        assert len(calls) == 300 and assert_scipy_roots(calls) > 150
+
+    @pytest.mark.parametrize("gamma, ratio, lanes", [(5.0, 1.0 - 1e-5, 74), (0.1, 0.985, 2)])
+    def test_cavity_brackets_match_scipy(self, gamma, ratio, lanes):
+        calls = recorded_brackets(lambda: cavity_entangled_intervals(gamma, ratio))
+        assert len(calls) == 1 and assert_scipy_roots(calls) == lanes
+
+    def test_root_at_an_endpoint_returned_exactly(self):
+        f = lambda t: np.cbrt(t - 1.0)
+        roots = _roots.brentq(f, [1.0, 0.0, 0.5], [2.0, 1.0, 3.0], 1e-8)
+        assert roots[0] == 1.0 and roots[1] == 1.0
+        assert roots[2] == scipy_brentq(f, 0.5, 3.0, xtol=1e-8)
+
+    def test_signs_read_where_the_product_of_values_underflows(self):
+        f = lambda t: (t - 0.7) * 1e-200
+        a, b = np.array([0.0, 0.5]), np.array([1.0, 3.0])
+        roots = _roots.brentq(f, a, b, 1e-12)
+        assert [r.hex() for r in roots.tolist()] == [
+            scipy_brentq(f, lo, hi, xtol=1e-12).hex() for lo, hi in zip(a, b)]
+
+    def test_same_sign_bracket_rejected(self):
+        f = lambda t: t - 5.0
+        for find in (lambda: _roots.brentq(f, [0.0, 4.0], [1.0, 6.0], 1e-8),
+                     lambda: scipy_brentq(f, 0.0, 1.0, xtol=1e-8)):
+            with pytest.raises(ValueError, match="different signs"):
+                find()
+
+    def test_no_brackets(self):
+        def never(t):
+            raise AssertionError("f called without brackets")
+        roots = _roots.brentq(never, [], [], 1e-8)
+        assert roots.shape == (0,) and roots.dtype == float
+
+    def test_no_convergence_raises(self):
+        # a step function defeats interpolation, and bisecting [0, 1e300]
+        # down to ~1e-16 takes ~1000 halvings, not MAXITER = 100
+        f = lambda t: np.sign(t - 1.0)
+        for find in (lambda: _roots.brentq(f, [0.0, 0.0], [2.0, 1e300], 1e-300),
+                     lambda: scipy_brentq(f, 0.0, 1e300, xtol=1e-300)):
+            with pytest.raises(RuntimeError, match="converge"):
+                find()
