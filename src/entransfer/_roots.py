@@ -1,89 +1,77 @@
-"""Brent's root finder on many brackets at once.
+"""Brent's root finder.
 
-A line-for-line port of scipy's ``Zeros/brentq.c`` (R. P. Brent,
-*Algorithms for Minimization without Derivatives*, 1973, ch. 4) in which
-each array lane is one bracket.  Every lane takes the steps a scalar call
-would take, in the same IEEE double operations, so its root equals
-``scipy.optimize.brentq(f, a, b, xtol=xtol)`` to the last bit as long as
-``f`` is elementwise.
+A line-for-line port of SciPy's ``Zeros/brentq.c`` (R. P. Brent,
+*Algorithms for Minimization without Derivatives*, 1973, ch. 4).  It
+takes the steps of the C code in the same IEEE double operations on
+Python floats, so its root equals SciPy's ``optimize.brentq(f, a, b,
+xtol=xtol)`` to the last bit.
 """
 
-import numpy as np
+import math
+import sys
 
-RTOL = 4.0 * np.finfo(float).eps
+RTOL = 4.0 * sys.float_info.epsilon  # SciPy's default and least rtol
 MAXITER = 100
 
 
-def _values(f, t):
-    v = np.asarray(f(t), dtype=float)
-    if np.count_nonzero(np.isnan(v)):
-        x = t[np.isnan(v)][0]
+def _value(f, x):
+    fx = float(f(x))
+    if math.isnan(fx):
         raise ValueError(f"The function value at x={x:f} is NaN; solver cannot continue.")
-    return v
+    return fx
 
 
 def brentq(f, a, b, xtol):
-    """Roots of ``f`` in the brackets [a[k], b[k]], to xtol + RTOL |root|.
+    """Root of the scalar function ``f`` in [a, b], to xtol + RTOL |root|.
 
-    ``f`` maps an array of points, one per bracket, to the values there;
-    the lanes that have converged hold their roots in that array.  Raises
-    ValueError if ``f`` is NaN or has one sign at both ends of a bracket,
-    RuntimeError if a root is not found in MAXITER steps.
+    Raises ValueError if ``f`` is NaN or has one sign at both ends,
+    RuntimeError if no root is found in MAXITER steps.
     """
     if xtol <= 0:
         raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-    xpre = np.array(a, dtype=float, ndmin=1)
-    xcur = np.array(b, dtype=float, ndmin=1)
-    if xpre.size == 0:
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = _value(f, xpre), _value(f, xcur)
+    if fpre == 0:
         return xpre
-    fpre, fcur = _values(f, xpre), _values(f, xcur)
-    root = np.where(fpre == 0, xpre, xcur)
-    idx = np.flatnonzero((fpre != 0) & (fcur != 0))
-    xpre, xcur, fpre, fcur = xpre[idx], xcur[idx], fpre[idx], fcur[idx]
-    if np.any(np.signbit(fpre) == np.signbit(fcur)):
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
         raise ValueError("f(a) and f(b) must have different signs")
-    xblk, fblk, spre, scur = (np.zeros(idx.size) for _ in range(4))
-    t = root.copy()
+    xblk = fblk = spre = scur = 0.0
     for _ in range(MAXITER):
-        # the last step moved the root out of [xpre, xblk]: xpre opens the new
-        # bracket.  brentq.c also asks fpre != 0 != fcur, but fpre is never 0
-        # here, and a lane with fcur == 0 is done below whatever ``new`` says
-        new = np.signbit(fpre) != np.signbit(fcur)
-        xblk, fblk = np.where(new, xpre, xblk), np.where(new, fpre, fblk)
-        step = xcur - xpre
-        spre, scur = np.where(new, step, spre), np.where(new, step, scur)
-        # xcur is the end with the smaller |f|
-        swap = np.abs(fblk) < np.abs(fcur)
-        xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
-                            np.where(swap, xcur, xblk))
-        fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
-                            np.where(swap, fcur, fblk))
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
 
-        delta = (xtol + RTOL * np.abs(xcur)) / 2
+        delta = (xtol + RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
-        done = (fcur == 0) | (np.abs(sbis) < delta)
-        n_done = np.count_nonzero(done)
-        root[idx[done]] = xcur[done]
-        if n_done == idx.size:
-            return root
-        if n_done:
-            keep = ~done
-            idx, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
-                v[keep] for v in (idx, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur,
-                                  delta, sbis))
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
 
-        with np.errstate(all="ignore"):
-            # secant where xpre == xblk, else inverse quadratic interpolation
-            dpre = (fpre - fcur) / (xpre - xcur)
-            dblk = (fblk - fcur) / (xblk - xcur)
-            stry = np.where(xpre == xblk, -fcur * (xcur - xpre) / (fcur - fpre),
-                            -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)))
-        short = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
-                 & (2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)))
-        spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
+        short = False
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                short = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+            except ZeroDivisionError:
+                pass  # C divides to inf or nan, which never makes a short step
+        if short:
+            spre, scur = scur, stry
+        else:
+            # bisect
+            spre = scur = sbis
 
         xpre, fpre = xcur, fcur
-        xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
-        t[idx] = xcur
-        fcur = _values(f, t)[idx]
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = _value(f, xcur)
     raise RuntimeError(f"Failed to converge after {MAXITER} iterations.")

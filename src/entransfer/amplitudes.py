@@ -12,10 +12,22 @@ into the reservoir.
 weak-coupling approximations return the squared magnitudes directly.
 """
 
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def _caller_stacklevel():
+    """The ``stacklevel`` at which a warning raised by the function calling
+    this one names the first line outside this module and the dataclass-
+    generated ``SystemParams.__init__``, e.g. the caller of from_geff."""
+    level, frame = 1, sys._getframe(1)
+    while frame.f_back is not None and (frame.f_code.co_filename == __file__
+                                        or frame.f_code is SystemParams.__init__.__code__):
+        level, frame = level + 1, frame.f_back
+    return level
 
 
 @dataclass(frozen=True)
@@ -50,7 +62,7 @@ class SystemParams:
                 "Delta is not large compared to the couplings "
                 f"(Delta={self.Delta}, g={self.g}, Omega={self.Omega}); "
                 "the effective two-level description degrades",
-                stacklevel=3,
+                stacklevel=_caller_stacklevel(),
             )
 
     @property

@@ -127,25 +127,19 @@ def detect_events(pair, init, p, horizon, n_points=None):
     born, live[0] = not live[0], init.beta > 0.0
     live = np.flatnonzero(live)
     entangled = margin[live] < 0.0
-    cells = np.flatnonzero(entangled[:-1] != entangled[1:])
-    lo, hi = live[cells], live[cells + 1]
-    # refine on g, or on the margin where g has rounded to one sign
-    on_g = np.sign(g[lo]) * np.sign(g[hi]) < 0.0
-
-    def f(t):
-        squares = exact_squares(t, p)
-        return np.where(on_g, _cross_pair(pair, init, squares),
-                        _cross_margin(pair, init, squares)[0])
-
-    times = brentq(f, grid[lo], grid[hi], xtol=1e-8).tolist()
-    # events alternate: each death is an ESD and each birth an ESR, but the
-    # birth of a pair that starts unentangled is an ESB
-    kinds = np.where(entangled[cells], ESD, ESR)
-    at_start = entangled[:1].any()
-    if not at_start:
-        kinds[:1] = ESB
-    events = [EventRecord(ESB, pair, 0.0)] if born and at_start else []
-    return events + [EventRecord(kind, pair, time) for kind, time in zip(kinds.tolist(), times)]
+    g_at = lambda t: _cross_pair(pair, init, exact_squares(t, p))
+    margin_at = lambda t: _cross_margin(pair, init, exact_squares(t, p))[0]
+    ever_entangled = entangled[:1].any()
+    events = [EventRecord(ESB, pair, 0.0)] if born and ever_entangled else []
+    for k in np.flatnonzero(entangled[:-1] != entangled[1:]):
+        lo, hi = live[k], live[k + 1]
+        # refine on g, or on the margin where g has rounded to one sign
+        f = g_at if np.sign(g[lo]) * np.sign(g[hi]) < 0.0 else margin_at
+        root = brentq(f, grid[lo], grid[hi], xtol=1e-8)
+        kind = ESD if entangled[k] else ESR if ever_entangled else ESB
+        events.append(EventRecord(kind=kind, pair=pair, time=root))
+        ever_entangled = True
+    return events
 
 
 def esb_time_strong(init):
@@ -253,10 +247,9 @@ def cavity_entangled_intervals(gamma, ratio):
         # 1 - ratio, plus one spare against rounding
         efolds = np.log(exact_squares(t_peak, p)[1] / (1.0 - ratio))
         peaks = t_peak + half * np.arange(int(efolds / (p.kappa * half / 2.0)) + 2)
-        k = np.flatnonzero(f(peaks) < 0.0)
-        roots = brentq(f, np.concatenate([k * half, peaks[k]]),
-                       np.concatenate([peaks[k], (k + 1) * half]), xtol=1e-10)
-        return list(zip(roots[:k.size].tolist(), roots[k.size:].tolist()))
+        return [(brentq(f, k * half, peaks[k], xtol=1e-10),
+                 brentq(f, peaks[k], (k + 1) * half, xtol=1e-10))
+                for k in np.flatnonzero(f(peaks) < 0.0)]
     lo, hi = t_peak, 2.0 * t_peak
     with np.errstate(over="ignore", invalid="ignore"):
         # cosh and sinh overflow near kappa t ~ 2840, leaving f NaN or -inf
@@ -266,7 +259,7 @@ def cavity_entangled_intervals(gamma, ratio):
         raise ValueError(
             f"the cavity pair is still entangled at t = {lo:.6g} and "
             f"disentangles past the range where the exact amplitudes are finite")
-    return [tuple(brentq(f, [0.0, lo], [t_peak, hi], xtol=1e-10).tolist())]
+    return [(brentq(f, 0.0, t_peak, xtol=1e-10), brentq(f, lo, hi, xtol=1e-10))]
 
 
 @dataclass(frozen=True)

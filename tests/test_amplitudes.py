@@ -58,10 +58,13 @@ class TestSystemParams:
             SystemParams.from_geff(np.nan)
 
     def test_small_detuning_warns(self):
-        with pytest.warns(UserWarning, match="Delta is not large") as record:
-            SystemParams(g=10.0, Omega=10.0, Delta=20.0)
         # at the caller, not in the dataclass-generated __init__ ("<string>")
-        assert record[0].filename == __file__
+        # nor in from_geff
+        for build in (lambda: SystemParams(g=10.0, Omega=10.0, Delta=20.0),
+                      lambda: SystemParams.from_geff(60.0)):
+            with pytest.warns(UserWarning, match="Delta is not large") as record:
+                build()
+            assert record[0].filename == __file__
 
     def test_gamma_infinite_without_decay(self):
         p = SystemParams(g=50.0, Omega=50.0, Delta=500.0, kappa=0.0)
