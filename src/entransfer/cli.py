@@ -30,13 +30,7 @@ import numpy as np
 
 from .amplitudes import SystemParams, amplitudes_strong, amplitudes_weak, exact_squares
 from .errors import ConfigError, require_memory
-from .events import (
-    POINTS_PER_PERIOD,
-    concurrence_series,
-    dead_window,
-    detect_events,
-    phase_diagram,
-)
+from .events import _detection_cells, concurrence_series, dead_window, detect_events, phase_diagram
 from .jointstate import DIAGONAL_PAIRS, InitialAmplitudes, PAIR_LABELS, lambda_minus
 from . import oracle
 
@@ -232,13 +226,12 @@ def _resolve_grid(args, n_columns):
 
 
 def _require_detection_grid(args, p):
-    """Size check of the event-detection grids: --steps intervals, or
-    POINTS_PER_PERIOD points per Rabi period up to --t-max."""
-    if getattr(args, "steps", None) is not None:
-        _require_size({"steps": args.steps}, (args.steps + 1.0) * GRID_POINT_BYTES)
-    else:
-        periods = args.t_max * max(p.omega_bar.real, 0.0) / (2.0 * np.pi)
-        _require_size({"t-max": args.t_max}, POINTS_PER_PERIOD * periods * GRID_POINT_BYTES)
+    """Size check of the event-detection grids, naming --steps when it sets
+    their cell count, else --t-max."""
+    steps = getattr(args, "steps", None)
+    cells = _detection_cells(p, args.t_max, steps)
+    flag = {"t-max": args.t_max} if steps is None else {"steps": steps}
+    _require_size(flag, (cells + 1.0) * GRID_POINT_BYTES)
 
 
 def _resolve_pairs(args):
@@ -335,8 +328,7 @@ def cmd_validate(args):
     delta = 1e4 * kappa if args.delta_detuning is None else args.delta_detuning
     bandwidth = 200.0 * kappa if args.bandwidth is None else args.bandwidth
     p = SystemParams.from_geff(args.geff, kappa=kappa, Delta=delta)
-    d = oracle.ReservoirDiscretization(n_modes=args.n_modes, bandwidth=bandwidth,
-                                       kappa=kappa)
+    d = oracle.ReservoirDiscretization(n_modes=args.n_modes, bandwidth=bandwidth)
     d.validate(p, args.t_max)
     amp_err, leak = oracle.discretized_errors(p, d, args.t_max)
     lind_grid = np.linspace(args.t_max / 50.0, args.t_max, 50)

@@ -81,8 +81,9 @@ def concurrence_series(pair, init, p, grid):
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("empty time grid")
-    if np.any(np.diff(grid) <= 0) or grid[0] < 0:
-        raise ValueError("grid must be strictly increasing and start at t >= 0")
+    # increasing from a finite start to a finite end: every point is finite
+    if not (grid[0] >= 0 and grid[-1] < np.inf and np.all(np.diff(grid) > 0)):
+        raise ValueError("grid must be finite, strictly increasing and start at t >= 0")
     if pair not in PAIR_LABELS:
         raise ValueError(f"unknown pair label {pair!r}")
     squares = exact_squares(grid, p)
@@ -92,15 +93,20 @@ def concurrence_series(pair, init, p, grid):
     return 2.0 * init.beta**2 * np.sqrt(x2 * y2)
 
 
-def _detection_grid(p, horizon, n_points):
+def _detection_cells(p, horizon, n_points):
+    """Cell count of the detection grid on [0, horizon]: ``n_points``, or by
+    default POINTS_PER_PERIOD per Rabi period and at least MIN_CELLS, then
+    a float that may be too large (inf included) for any grid."""
+    if n_points is not None and n_points < 1:
+        raise ValueError(f"the detection grid needs at least 1 cell, got {n_points}")
     period = 2.0 * np.pi / p.omega_bar.real if p.omega_bar.real > 0 else np.inf
-    needed = int(np.ceil(POINTS_PER_PERIOD * horizon / period))
-    n = max(MIN_CELLS, needed) if n_points is None else int(n_points)
+    needed = np.ceil(POINTS_PER_PERIOD * horizon / period)
+    n = max(MIN_CELLS, needed) if n_points is None else n_points
     if n < needed:
         raise ConfigError(
             f"{n} grid points is too coarse for oscillation period {period:.3g}; "
-            f"need at least {needed}")
-    return np.linspace(0.0, horizon, n + 1)
+            f"need at least {needed:.0f}")
+    return n
 
 
 def detect_events(pair, init, p, horizon, n_points=None):
@@ -116,11 +122,9 @@ def detect_events(pair, init, p, horizon, n_points=None):
     if pair not in PAIR_LABELS or pair[1] == pair[3]:
         raise ValueError(f"event detection takes a pair on different chains "
                          f"(a1a2, a1c2, ...), got {pair!r}")
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    if n_points is not None and n_points < 1:
-        raise ValueError(f"the detection grid needs at least 1 cell, got {n_points}")
-    grid = _detection_grid(p, horizon, n_points)
+    if not (np.isfinite(horizon) and horizon > 0):
+        raise ValueError("horizon must be positive and finite")
+    grid = np.linspace(0.0, horizon, int(_detection_cells(p, horizon, n_points)) + 1)
     squares = exact_squares(grid, p)
     g, (margin, live) = _cross_pair(pair, init, squares), _cross_margin(pair, init, squares)
     # C(0) = 0 for all pairs but a1a2; the margin at t = 0 is the sign just after

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qops
-from .amplitudes import amplitudes_exact
+from .amplitudes import _squares, amplitudes_exact
 
 # qubit index per subsystem label
 QUBIT_INDEX = {"a1": 0, "c1": 1, "r1": 2, "a2": 3, "c2": 4, "r2": 5}
@@ -95,19 +95,12 @@ def reduced_pair(state, pair):
     return qops.partial_trace(rho, (2,) * 6, pair_qubits(pair))
 
 
-def _squares(amps):
-    e2, g2, r2 = amps.squares
-    return float(e2), float(g2), float(r2)
-
-
-def _pair_square(pair, amps):
-    e2, g2, r2 = _squares(amps)
-    return {"a1a2": e2, "c1c2": g2, "r1r2": r2}[pair]
-
-
 def _pair_amplitude(pair, amps):
-    return {"a1a2": complex(amps.E), "c1c2": complex(amps.G),
-            "r1r2": complex(amps.R)}[pair]
+    """x and |x|^2 of the a1a2 / c1c2 / r1r2 pair: E, G or R."""
+    if pair not in DIAGONAL_PAIRS:
+        raise ValueError(f"no closed form for pair {pair!r}")
+    k = DIAGONAL_PAIRS.index(pair)
+    return complex((amps.E, amps.G, amps.R)[k]), float(_squares(amps.E, amps.G)[k])
 
 
 def rho_closed(pair, amps, init):
@@ -120,10 +113,7 @@ def rho_closed(pair, amps, init):
     The coherence keeps the phase of x^2 (the cavity amplitude carries a
     factor i, making its coherence negative real).
     """
-    if pair not in DIAGONAL_PAIRS:
-        raise ValueError(f"no closed-form matrix for pair {pair!r}")
-    x = _pair_amplitude(pair, amps)
-    x2 = abs(x) ** 2
+    x, x2 = _pair_amplitude(pair, amps)
     a, b = init.alpha, init.beta
     rho = np.zeros((4, 4), dtype=complex)
     rho[3, 3] = b**2 * x2**2
@@ -145,7 +135,7 @@ def lambda_minus(pair, x2, init):
 
 def concurrence_closed(pair, amps, init):
     """max(0, -2 lambda_-) for the a1a2 / c1c2 / r1r2 pair."""
-    x2 = _pair_square(pair, amps)
+    _, x2 = _pair_amplitude(pair, amps)
     return float(max(0.0, -2.0 * lambda_minus(pair, x2, init)))
 
 

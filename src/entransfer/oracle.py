@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import amplitudes_exact, exact_squares
+from .amplitudes import _squares, amplitudes_exact, exact_squares
 from .errors import require_memory
 
 _ERROR_SAMPLES = 201    # times in [0, horizon] that discretized_errors compares
@@ -41,19 +41,18 @@ class ReservoirDiscretization:
     """Uniform flat-band discretization of one reservoir.
 
     n_modes modes span ``bandwidth`` centred on the cavity frequency;
-    every mode couples with g_k = sqrt(kappa * spacing / 2 pi), which
-    reproduces the Markovian decay rate kappa in the continuum limit.
+    every mode couples with g_k = sqrt(kappa * spacing / 2 pi), kappa the
+    chain's decay rate, which reproduces it in the continuum limit.
     """
 
     n_modes: int
     bandwidth: float
-    kappa: float = 1.0
 
     def __post_init__(self):
         if self.n_modes < 0:
             raise ValueError("n_modes must be non-negative")
-        if self.n_modes > 0 and self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
+        if not (np.isfinite(self.bandwidth) and self.bandwidth > 0):
+            raise ValueError("bandwidth must be positive and finite")
 
     @property
     def spacing(self):
@@ -64,10 +63,6 @@ class ReservoirDiscretization:
         """Mode detunings omega_k - omega, symmetric around resonance."""
         n = self.n_modes
         return (np.arange(n) - (n - 1) / 2.0) * self.spacing
-
-    @property
-    def couplings(self):
-        return np.full(self.n_modes, np.sqrt(self.kappa * self.spacing / (2.0 * np.pi)))
 
     @property
     def recurrence_time(self):
@@ -103,8 +98,7 @@ def build_hamiltonian(p, d):
     if n:
         idx = np.arange(3, dim)
         h[idx, idx] = d.offsets          # -(omega - omega_k)
-        h[2, 3:] = d.couplings
-        h[3:, 2] = d.couplings
+        h[2, 3:] = h[3:, 2] = np.sqrt(p.kappa * d.spacing / (2.0 * np.pi))
     return h
 
 
@@ -226,7 +220,7 @@ def spectrum(p, d):
     share = np.abs(shifted) / (2.0 * radius)      # a-, a+
     offsets = d.offsets
     s = d.spacing
-    rate = d.kappa / (2.0 * np.pi)                 # c^2 / s
+    rate = p.kappa / (2.0 * np.pi)                 # c^2 / s
     eps = np.finfo(float).eps
     tol = 8.0 * eps * max(np.max(np.abs(heads)), np.max(np.abs(offsets), initial=0.0),
                           g, om)
@@ -402,7 +396,8 @@ def collective_chain(d, depth):
     """Orthogonal one-excitation reservoir states reachable from the
     coupling-weighted mode |1bar_0> under the free bath evolution.
 
-    Vector 0 is g_k / sqrt(sum |g_k|^2); each following vector is the
+    Vector 0 is g_k / sqrt(sum |g_k|^2), uniform since every mode couples
+    equally, whatever kappa; each following vector is the
     image under diag(omega - omega_k) orthogonalized against everything
     before (with full reorthogonalization for numerical safety).  Stops
     early, flagging truncation, if the residual norm drops below
@@ -412,9 +407,7 @@ def collective_chain(d, depth):
     if depth > n:
         raise ValueError(f"depth {depth} exceeds mode count {n}")
     freq = -d.offsets            # omega - omega_k
-    g = d.couplings.astype(float)
-    v = g / np.linalg.norm(g)
-    vecs = [v]
+    vecs = [np.ones(n) / np.sqrt(n)]
     alphas, betas = [], []
     for _ in range(1, depth):
         w = freq * vecs[-1]
@@ -474,8 +467,9 @@ def lindblad_evolve(p, grid):
     exact propagator, applied once per substep.
     """
     grid = np.asarray(grid, dtype=float)
-    if grid.size == 0 or grid[0] < 0 or np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be strictly increasing and start at t >= 0")
+    # increasing from a finite start to a finite end: every point is finite
+    if not (grid.size and grid[0] >= 0 and grid[-1] < np.inf and np.all(np.diff(grid) > 0)):
+        raise ValueError("grid must be finite, strictly increasing and start at t >= 0")
     step = 0.01 / max(p.kappa, abs(p.omega_bar), abs(p.Delta))
     lv = _liouvillian(p)
     one = np.eye(36, dtype=complex)
@@ -507,10 +501,11 @@ def lindblad_max_error(p, grid):
     {|e0>, |g1>, |g0>} from the closed-form single-chain matrix."""
     rhos = lindblad_evolve(p, grid)
     amps = amplitudes_exact(np.asarray(grid, dtype=float), p)
+    e2, g2, r2 = _squares(amps.E, amps.G)
     return float(max(
-        np.max(np.abs(rhos[:, IDX_E0, IDX_E0].real - np.abs(amps.E) ** 2)),
-        np.max(np.abs(rhos[:, IDX_G1, IDX_G1].real - np.abs(amps.G) ** 2)),
-        np.max(np.abs(rhos[:, IDX_G0, IDX_G0].real - amps.R ** 2)),
+        np.max(np.abs(rhos[:, IDX_E0, IDX_E0].real - e2)),
+        np.max(np.abs(rhos[:, IDX_G1, IDX_G1].real - g2)),
+        np.max(np.abs(rhos[:, IDX_G0, IDX_G0].real - r2)),
         np.max(np.abs(rhos[:, IDX_E0, IDX_G1] - amps.E * np.conj(amps.G))),
     ))
 
@@ -524,6 +519,8 @@ def discretized_errors(p, d, horizon):
     is the max population of the far-detuned intermediate level, the
     size of the term the closed forms drop.
     """
+    if not (np.isfinite(horizon) and horizon >= 0):
+        raise ValueError("horizon must be finite and non-negative")
     ts = np.linspace(0.0, horizon, _ERROR_SAMPLES)
     pops = populations(p, d, ts)
     e2, g2, r2 = exact_squares(ts, p)

@@ -133,9 +133,30 @@ class TestExactAmplitudes:
         arr = np.array(exact_squares(ts, p)).T
         assert arr.tobytes() == np.array([exact_squares(t, p) for t in ts]).tobytes()
 
+    def test_scalar_r_is_the_root_of_exact_squares_bit_for_bit(self):
+        # one squaring kernel serves both; squared apart, 1 of these differed
+        p = params_geff(0.37)
+        for t in np.linspace(0.01, 30.0, 3001):
+            assert amplitudes_exact(t, p).R == np.sqrt(exact_squares(t, p)[2])
+
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             amplitudes_exact(-0.1, params_geff(5.0))
+
+    @pytest.mark.parametrize("fn", [amplitudes_exact, exact_squares,
+                                    amplitudes_strong, amplitudes_weak])
+    @pytest.mark.parametrize("t", [np.nan, np.inf, [0.0, np.nan], [1.0, -np.inf]])
+    def test_non_finite_time_rejected(self, fn, t):
+        with pytest.raises(ValueError, match="time must be finite"):
+            fn(t, params_geff(0.37))
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(g_eff=st.floats(0.02, 20.0),
+           ts=st.one_of(st.lists(st.floats(0.0, 60.0), min_size=2, max_size=400),
+                        st.integers(2, 4001).map(lambda n: np.linspace(0.0, 60.0, n))))
+    def test_reservoir_never_decreases(self, g_eff, ts):
+        r2 = exact_squares(np.unique(ts), params_geff(g_eff, Delta=1e5))[2]
+        assert np.all(np.diff(r2) >= 0.0)
 
     def test_decay_only_limit(self):
         # deep overdamping: the excitation decays at rate 4 gamma^2 kappa

@@ -190,6 +190,15 @@ class TestExitCodes:
         for got, want in zip(row[:3], expect):
             assert float(got) == pytest.approx(want, rel=1e-9, abs=0)
 
+    def test_validate_values_kappa_2(self, tmp_path):
+        # the reservoir modes couple at --kappa, through SystemParams alone
+        status, out = run(tmp_path, "validate", "--kappa", "2")
+        assert status == 0
+        row = out.read_text().strip().split("\n")[1].split(",")
+        expect = (0.00273711398212, 0.0010305563434, 0.000888223322413)
+        for got, want in zip(row[:3], expect):
+            assert float(got) == pytest.approx(want, rel=1e-9, abs=0)
+
     def test_validate_oversized_reservoir(self, capsys):
         # rejected from a size estimate, before any allocation
         assert main(["validate", "--n-modes", "10000000"]) == 2

@@ -134,6 +134,12 @@ class TestDetectEvents:
         with pytest.raises(ConfigError):
             detect_events("a1a2", init, P_STRONG, 50.0, n_points=100)
 
+    @pytest.mark.parametrize("horizon", [np.nan, np.inf, -np.inf, 0.0])
+    def test_bad_horizon_rejected(self, horizon):
+        init = InitialAmplitudes.from_ratio(1.5)
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            detect_events("a1a2", init, P_STRONG, horizon)
+
     def test_empty_grid_rejected(self):
         # overdamped, the period check accepts any grid size
         init = InitialAmplitudes.from_ratio(1.5)
@@ -259,6 +265,23 @@ class TestConcurrenceSeries:
         with pytest.raises(ValueError):
             concurrence_series("a1a2", init, P_STRONG, np.array([0.0, 0.0, 1.0]))
 
+    @pytest.mark.parametrize("grid", [[0.0, np.nan], [0.0, np.inf], [np.nan], [np.inf]])
+    def test_rejects_non_finite_grid(self, grid):
+        init = InitialAmplitudes.from_ratio(1.5)
+        with pytest.raises(ValueError, match="grid must be finite"):
+            concurrence_series("a1a2", init, P_STRONG, grid)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(gamma=st.floats(0.02, 20.0), ratio=st.floats(0.1, 10.0),
+           ts=st.lists(st.floats(0.0, 60.0), min_size=1, max_size=400))
+    def test_every_pair_between_zero_and_one(self, gamma, ratio, ts):
+        p = SystemParams.from_geff(gamma, Delta=1e5)
+        init = InitialAmplitudes.from_ratio(ratio)
+        grid = np.unique(ts)
+        for pair in PAIR_LABELS:
+            c = concurrence_series(pair, init, p, grid)
+            assert np.all((0.0 <= c) & (c <= 1.0)), pair
+
 
 class TestCavityPhase:
     def test_boundary_matches_direct_scan(self):
@@ -370,6 +393,11 @@ class TestDeadWindow:
     def test_absent_for_equal_amplitudes(self):
         init = InitialAmplitudes.from_ratio(1.0)
         assert dead_window(init, P_WEAK, 60.0) is None
+
+    @pytest.mark.parametrize("horizon", [np.nan, np.inf])
+    def test_non_finite_horizon_rejected(self, horizon):
+        with pytest.raises(ValueError, match="horizon"):
+            dead_window(InitialAmplitudes.from_ratio(3.0), P_WEAK, horizon)
 
     def test_absent_without_superposition(self):
         init = InitialAmplitudes(alpha=0.0, beta=1.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from entransfer import qops
-from entransfer.amplitudes import SystemParams, amplitudes_exact
+from entransfer.amplitudes import SystemParams, amplitudes_exact, exact_squares
 from entransfer.jointstate import (
     CROSS_PAIRS,
     DIAGONAL_PAIRS,
@@ -88,7 +88,7 @@ class TestClosedFormMatrices:
         for t in (0.2, 0.8, 1.4):
             amps = amplitudes_exact(t, P_STRONG)
             for i, pair in enumerate(DIAGONAL_PAIRS):
-                x2 = [float(v) for v in amps.squares][i]
+                x2 = float(exact_squares(t, P_STRONG)[i])
                 rho = rho_closed(pair, amps, init)
                 pt_min = np.linalg.eigvalsh(
                     qops.partial_transpose(rho, (2, 2), 1))[0]

@@ -90,7 +90,7 @@ SECULAR_CASES = {
     "N=50": lambda: (SystemParams.from_geff(5.0), ReservoirDiscretization(50, 40.0)),
     "N=101": lambda: (SystemParams.from_geff(5.0), ReservoirDiscretization(101, 60.0)),
     "kappa=0": lambda: (SystemParams.from_geff(5.0, kappa=0.0),
-                        ReservoirDiscretization(50, 40.0, kappa=0.0)),
+                        ReservoirDiscretization(50, 40.0)),
     "g!=Omega": lambda: (SystemParams(g=30.0, Omega=50.0, Delta=500.0),
                          ReservoirDiscretization(101, 60.0)),
     "Delta<0": lambda: (SystemParams(g=50.0, Omega=20.0, Delta=-500.0),
@@ -103,7 +103,7 @@ SECULAR_CASES = {
     # couplings below rounding are deflated: all modes, or both head poles
     # (then |g10> couples to nothing and h- = 0 is also a root)
     "kappa=1e-100": lambda: (SystemParams.from_geff(5.0, kappa=1e-100),
-                             ReservoirDiscretization(50, 40.0, kappa=1e-100)),
+                             ReservoirDiscretization(50, 40.0)),
     "g=1e-300": lambda: (SystemParams(g=1e-300, Omega=1.0, Delta=1.0),
                          ReservoirDiscretization(0, 1.0)),
 }
@@ -114,8 +114,19 @@ class TestDiscretization:
         d = ReservoirDiscretization(n_modes=4, bandwidth=2.0)
         assert d.spacing == pytest.approx(0.5)
         assert np.allclose(d.offsets, [-0.75, -0.25, 0.25, 0.75])
-        assert np.allclose(d.couplings, np.sqrt(0.5 / (2.0 * np.pi)))
         assert d.recurrence_time == pytest.approx(4.0 * np.pi)
+
+    def test_mode_couplings_take_kappa_from_the_chain(self):
+        d = ReservoirDiscretization(n_modes=4, bandwidth=2.0)
+        h = build_hamiltonian(SystemParams.from_geff(5.0, kappa=2.0), d)
+        assert np.all(h[2, 3:] == np.sqrt(2.0 * d.spacing / (2.0 * np.pi)))
+        assert np.all(h[3:, 2] == h[2, 3:])
+
+    @pytest.mark.parametrize("bandwidth", [np.nan, np.inf, 0.0, -1.0])
+    def test_bandwidth_must_be_positive_and_finite(self, bandwidth):
+        for n in (0, 10):
+            with pytest.raises(ValueError, match="bandwidth"):
+                ReservoirDiscretization(n, bandwidth)
 
     def test_offsets_symmetric(self):
         for n in (3, 4, 101):
@@ -228,6 +239,19 @@ class TestDiscretizedAgreement:
         assert fine[0] > 0.003
         assert elapsed < 10.0
 
+    def test_kappa_taken_from_the_chain(self):
+        # the modes couple at the chain's kappa = 2; a reservoir fixed at
+        # kappa = 1 would leave an error of 0.25
+        p = SystemParams.from_geff(5.0, kappa=2.0, Delta=1e4)
+        err = discretized_errors(p, ReservoirDiscretization(2000, 400.0), 5.0)[0]
+        assert err == pytest.approx(0.0021988977109, rel=1e-6)
+
+    @pytest.mark.parametrize("horizon", [np.nan, np.inf, -1.0])
+    def test_bad_horizon_rejected(self, horizon):
+        p = SystemParams.from_geff(5.0, Delta=1e4)
+        with pytest.raises(ValueError, match="horizon must be finite"):
+            discretized_errors(p, ReservoirDiscretization(10, 200.0), horizon)
+
     def test_oversized_reservoir_rejected_before_solving(self):
         p = SystemParams.from_geff(5.0, Delta=1e4)
         with pytest.raises(ConfigError, match="GB"):
@@ -308,9 +332,9 @@ class TestCollectiveChain:
     D = ReservoirDiscretization(n_modes=64, bandwidth=40.0)
 
     def test_first_vector_is_normalized_couplings(self):
+        # every mode couples equally, so the normalized couplings are uniform
         chain = collective_chain(self.D, 1)
-        g = self.D.couplings
-        assert np.allclose(chain.vectors[0], g / np.linalg.norm(g))
+        assert np.allclose(chain.vectors[0], 1.0 / np.sqrt(self.D.n_modes))
 
     def test_orthonormality(self):
         chain = collective_chain(self.D, 10)
@@ -366,6 +390,11 @@ class TestLindblad:
         rho = lindblad_evolve(p, np.array([2.0]))[0]
         purity = np.trace(rho @ rho).real
         assert abs(purity - 1.0) < 1e-8
+
+    @pytest.mark.parametrize("grid", [[0.0, np.nan], [0.0, np.inf], [np.nan]])
+    def test_non_finite_grid_rejected(self, grid):
+        with pytest.raises(ValueError, match="grid must be finite"):
+            lindblad_evolve(self.P, grid)
 
     def test_matches_closed_forms(self):
         grid = np.linspace(0.2, 10.0, 50)
