@@ -23,6 +23,7 @@ import argparse
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 
@@ -38,17 +39,33 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_VALIDATION = 3
 
-# peak bytes per output cell (JSON records are the largest) and per point of
-# an event-detection grid, measured with numpy 2 on CPython 3.11
+# peak bytes per output cell (JSON records are the largest), measured with
+# numpy 2 on CPython 3.11
 CELL_BYTES = 256
-GRID_POINT_BYTES = 128
 
 
-def _atomic_write(path, text):
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
+def _write_out(path, text):
+    """Write ``text`` to ``path``, or to its target if it is a symlink.  A
+    regular file is replaced whole, atomically, keeping its mode; a new file
+    gets 0o666 less the umask; a FIFO, device or other special file is
+    written in place."""
+    path = os.path.realpath(path)
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    else:
+        if not stat.S_ISREG(st.st_mode):
+            with open(path, "w", newline="\n") as fh:
+                fh.write(text)
+            return
+        mode = stat.S_IMODE(st.st_mode)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
+            os.fchmod(fh.fileno(), mode)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -65,9 +82,8 @@ def emit(config, columns, data, out=None, fmt="csv"):
     # +0.0 normalizes negative zero
     values = [(a + 0.0).tolist() if f else a.tolist() for a, f in zip(arrays, floats)]
     if fmt == "csv":
-        cells = [map("%.12g".__mod__ if f else str, v) for v, f in zip(values, floats)]
-        lines = [",".join(columns)] + [",".join(row) for row in zip(*cells)]
-        text = "\n".join(lines) + "\n"
+        row = ",".join("%.12g" if f else "%s" for f in floats)
+        text = "\n".join([",".join(columns), *map(row.__mod__, zip(*values))]) + "\n"
     elif fmt == "json":
         payload = {
             "config": {k: float(v) + 0.0 if isinstance(v, float) else v
@@ -81,7 +97,7 @@ def emit(config, columns, data, out=None, fmt="csv"):
     if out is None:
         sys.stdout.write(text)
     else:
-        _atomic_write(out, text)
+        _write_out(out, text)
 
 
 # --- configuration ----------------------------------------------------------
@@ -146,6 +162,11 @@ COMMANDS = {
 
 
 def _subparser(sub, name, defaults):
+    """Register subcommand or preset ``name`` with the flags in ``defaults``;
+    with ``defaults`` None it gets no flags and no --help, which is all that
+    help and "invalid choice" output read of it."""
+    if defaults is None:
+        return sub.add_parser(name, add_help=False)
     sp = sub.add_parser(name, allow_abbrev=False)   # validate --g is not --geff
     for dest in (*defaults, "out", "format", "config"):
         sp.add_argument("--" + dest.replace("_", "-"), **FLAGS[dest])
@@ -153,18 +174,27 @@ def _subparser(sub, name, defaults):
     return sp
 
 
-def build_parser():
+def build_parser(argv):
+    """The parser of ``argv``: only the subcommand ``argv[0]`` names and, for
+    ``figure``, the preset ``argv[1]`` names get their flags; every other name
+    is registered empty, so a parse of ``argv`` (or of ``argv`` with flags
+    added after the preset) sees what a parser built in full would."""
+    command, number = (*argv[:2], None, None)[:2]
     parser = argparse.ArgumentParser(
         prog="entransfer",
         description="Entanglement transfer through dissipative atom-cavity-"
                     "reservoir chains: series, events and phase diagrams.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, defaults in COMMANDS.items():
-        _subparser(sub, name, defaults)
+        _subparser(sub, name, defaults if name == command else None)
+    if command != "figure":
+        _subparser(sub, "figure", None)
+        return parser
     presets = sub.add_parser("figure").add_subparsers(dest="number", metavar="N",
                                                       required=True)
-    for number, (_, defaults) in FIGURES.items():
-        _subparser(presets, str(number), defaults).set_defaults(number=number)
+    for n, (_, defaults) in FIGURES.items():
+        _subparser(presets, str(n), defaults if str(n) == number else None
+                   ).set_defaults(number=n)
     return parser
 
 
@@ -229,9 +259,8 @@ def _require_detection_grid(args, p):
     """Size check of the event-detection grids, naming --steps when it sets
     their cell count, else --t-max."""
     steps = getattr(args, "steps", None)
-    cells = _detection_cells(p, args.t_max, steps)
-    flag = {"t-max": args.t_max} if steps is None else {"steps": steps}
-    _require_size(flag, (cells + 1.0) * GRID_POINT_BYTES)
+    flag = f"--t-max {args.t_max:g}" if steps is None else f"--steps {steps:g}"
+    _detection_cells(p, args.t_max, steps, what=flag)
 
 
 def _resolve_pairs(args):
@@ -427,7 +456,7 @@ def _first_non_finite(columns, data):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     try:
         if args.config is not None:

@@ -12,7 +12,7 @@ import numpy as np
 
 from ._roots import brentq
 from .amplitudes import SystemParams, exact_squares
-from .errors import ConfigError
+from .errors import ConfigError, require_memory
 from .jointstate import DIAGONAL_PAIRS, PAIR_LABELS
 
 # bench/spans.py wraps events.brentq and events.minimize_scalar by name; the
@@ -22,6 +22,8 @@ minimize_scalar = brentq
 # least detection-grid points per Rabi period, and least grid cells
 POINTS_PER_PERIOD = 40
 MIN_CELLS = 2000
+# peak bytes per detection-grid point, measured with numpy 2 on CPython 3.11
+GRID_POINT_BYTES = 128
 
 ESD = "ESD"
 ESB = "ESB"
@@ -93,10 +95,18 @@ def concurrence_series(pair, init, p, grid):
     return 2.0 * init.beta**2 * np.sqrt(x2 * y2)
 
 
-def _detection_cells(p, horizon, n_points):
+def _require_horizon(horizon):
+    if not (np.isfinite(horizon) and horizon > 0):
+        raise ValueError("horizon must be positive and finite")
+
+
+def _detection_cells(p, horizon, n_points, what=None):
     """Cell count of the detection grid on [0, horizon]: ``n_points``, or by
-    default POINTS_PER_PERIOD per Rabi period and at least MIN_CELLS, then
-    a float that may be too large (inf included) for any grid."""
+    default POINTS_PER_PERIOD per Rabi period and at least MIN_CELLS.
+
+    Raises ConfigError, before anything is allocated, if the grid would not
+    fit in physical memory, naming it ``what`` (default: by its cell count
+    and horizon)."""
     if n_points is not None and n_points < 1:
         raise ValueError(f"the detection grid needs at least 1 cell, got {n_points}")
     period = 2.0 * np.pi / p.omega_bar.real if p.omega_bar.real > 0 else np.inf
@@ -106,7 +116,10 @@ def _detection_cells(p, horizon, n_points):
         raise ConfigError(
             f"{n} grid points is too coarse for oscillation period {period:.3g}; "
             f"need at least {needed:.0f}")
-    return n
+    # n may be a float too large (inf included) for any grid
+    require_memory((n + 1.0) * GRID_POINT_BYTES,
+                   what or f"a detection grid of {n:g} cells on horizon {horizon:g}")
+    return int(n)
 
 
 def detect_events(pair, init, p, horizon, n_points=None):
@@ -122,9 +135,8 @@ def detect_events(pair, init, p, horizon, n_points=None):
     if pair not in PAIR_LABELS or pair[1] == pair[3]:
         raise ValueError(f"event detection takes a pair on different chains "
                          f"(a1a2, a1c2, ...), got {pair!r}")
-    if not (np.isfinite(horizon) and horizon > 0):
-        raise ValueError("horizon must be positive and finite")
-    grid = np.linspace(0.0, horizon, int(_detection_cells(p, horizon, n_points)) + 1)
+    _require_horizon(horizon)
+    grid = np.linspace(0.0, horizon, _detection_cells(p, horizon, n_points) + 1)
     squares = exact_squares(grid, p)
     g, (margin, live) = _cross_pair(pair, init, squares), _cross_margin(pair, init, squares)
     # C(0) = 0 for all pairs but a1a2; the margin at t = 0 is the sign just after
@@ -297,6 +309,7 @@ def dead_window(init, p, horizon):
     six unentangled too.  The window is the widest gap in the union of the
     intervals their alternating events bound (a1a2 starts entangled).
     """
+    _require_horizon(horizon)
     if init.alpha * init.beta == 0:
         return None
     covered = []

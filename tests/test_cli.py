@@ -2,14 +2,16 @@
 
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 import entransfer
-from entransfer.cli import main
+from entransfer.cli import COMMANDS, FIGURES, build_parser, main
 from entransfer.events import EventRecord
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -349,3 +351,107 @@ class TestFlags:
     def test_json_config_keys(self, argv, keys, capsys):
         assert main(argv + ["--format", "json"]) == 0
         assert list(json.loads(capsys.readouterr().out)["config"]) == keys
+
+
+PARSES = ([([name], {"command": name, **defaults}) for name, defaults in COMMANDS.items()]
+          + [(["figure", str(n)], {"command": "figure", "number": n, **defaults})
+             for n, (_, defaults) in FIGURES.items()])
+
+
+class TestParser:
+    """build_parser(argv) fills in only what argv names, and parses as a
+    parser with every subcommand and preset filled in would."""
+
+    @pytest.mark.parametrize("argv, want", PARSES, ids=[" ".join(a) for a, _ in PARSES])
+    def test_defaults(self, argv, want):
+        got = vars(build_parser(argv).parse_args(argv))
+        assert got == dict(want, out=None, format="csv", config=None)
+
+    def test_help_lists_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert all(name in out for name in [*COMMANDS, "figure"])
+
+    def test_figure_help_lists_presets(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["figure", "--help"])
+        assert exc.value.code == 0
+        assert "positional arguments:\n  N\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, names", [
+        (["figure", "11"], [str(n) for n in FIGURES]),
+        (["bogus"], [*COMMANDS, "figure"]),
+    ])
+    def test_invalid_choice_lists_every_name(self, argv, names, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err
+        assert all(repr(name) in err for name in names)
+
+    def test_figure_config_merged(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"t-max": 1, "steps": 4, "ratio": 2}))
+        assert main(["figure", "3", "--config", str(cfg), "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert len(data["records"]) == 5
+        assert data["config"]["t_max"] == 1.0 and data["config"]["figure"] == 3
+        assert data["config"]["beta"] / data["config"]["alpha"] == pytest.approx(2.0)
+
+
+class TestOut:
+    """--out writes a symlink's target and special files in place."""
+
+    ARGV = ["figure", "3", "--steps", "4"]
+
+    def expected(self, tmp_path):
+        path = tmp_path / "plain.csv"
+        assert main(self.ARGV + ["--out", str(path)]) == 0
+        return path.read_text()
+
+    def test_symlink_target_written(self, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("old\n")
+        target.chmod(0o640)
+        link.symlink_to(target)
+        assert main(self.ARGV + ["--out", str(link)]) == 0
+        assert link.is_symlink()
+        assert target.read_text() == self.expected(tmp_path)
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+
+    def test_dangling_symlink_creates_target(self, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        link.symlink_to(target)
+        assert main(self.ARGV + ["--out", str(link)]) == 0
+        assert link.is_symlink()
+        assert target.read_text() == self.expected(tmp_path)
+
+    def test_new_file_honours_umask(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            assert main(self.ARGV + ["--out", str(tmp_path / "new.csv")]) == 0
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE((tmp_path / "new.csv").stat().st_mode) == 0o640
+
+    def test_existing_file_keeps_mode(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+        path.chmod(0o604)
+        assert main(self.ARGV + ["--out", str(path)]) == 0
+        assert stat.S_IMODE(path.stat().st_mode) == 0o604
+        assert path.read_text() == self.expected(tmp_path)
+
+    def test_fifo_written_in_place(self, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+        reader.start()
+        assert main(self.ARGV + ["--out", str(fifo)]) == 0
+        reader.join(timeout=30)
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+        assert got == [self.expected(tmp_path)]

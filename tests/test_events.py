@@ -1,13 +1,15 @@
 """Unit tests for event detection, closed-form event times and the
 cavity phase diagram."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq as scipy_brentq
 
-from entransfer import _roots
+from entransfer import _roots, errors
 from entransfer import events as events_module
 from entransfer.amplitudes import SystemParams, exact_squares
 from entransfer.errors import ConfigError
@@ -138,6 +140,21 @@ class TestDetectEvents:
     def test_bad_horizon_rejected(self, horizon):
         init = InitialAmplitudes.from_ratio(1.5)
         with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            detect_events("a1a2", init, P_STRONG, horizon)
+
+    @pytest.mark.parametrize("horizon", [1e307, None], ids=["1e307", "past_memory"])
+    def test_huge_horizon_rejected_before_allocating(self, horizon, monkeypatch):
+        # a machine with 64 MiB, so that a missing guard would allocate little
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 16384}
+        monkeypatch.setattr(errors.os, "sysconf", pages.__getitem__)
+        init = InitialAmplitudes.from_ratio(1.5)
+        if horizon is None:
+            # the default grid just past 64 MiB, and one just inside
+            period = 2.0 * np.pi / P_STRONG.omega_bar.real
+            fits = 64 * 2**20 / events_module.GRID_POINT_BYTES - 1.0
+            horizon = 1.01 * fits * period / events_module.POINTS_PER_PERIOD
+            detect_events("a1a2", init, P_STRONG, horizon / 1.02)
+        with pytest.raises(ConfigError, match=re.escape(f"on horizon {horizon:g} needs")):
             detect_events("a1a2", init, P_STRONG, horizon)
 
     def test_empty_grid_rejected(self):
@@ -394,10 +411,12 @@ class TestDeadWindow:
         init = InitialAmplitudes.from_ratio(1.0)
         assert dead_window(init, P_WEAK, 60.0) is None
 
-    @pytest.mark.parametrize("horizon", [np.nan, np.inf])
+    @pytest.mark.parametrize("horizon", [np.nan, np.inf, 0.0])
     def test_non_finite_horizon_rejected(self, horizon):
-        with pytest.raises(ValueError, match="horizon"):
-            dead_window(InitialAmplitudes.from_ratio(3.0), P_WEAK, horizon)
+        # checked first, also where alpha beta = 0 leaves no window to find
+        for init in (InitialAmplitudes.from_ratio(3.0), InitialAmplitudes(1.0, 0.0)):
+            with pytest.raises(ValueError, match="horizon"):
+                dead_window(init, P_WEAK, horizon)
 
     def test_absent_without_superposition(self):
         init = InitialAmplitudes(alpha=0.0, beta=1.0)
