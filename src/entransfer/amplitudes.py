@@ -68,7 +68,11 @@ class SystemParams:
     @property
     def delta(self):
         """Stark-compensating two-photon detuning (g^2 - Omega^2) / Delta."""
-        return (self.g**2 - self.Omega**2) / self.Delta
+        s = max(self.g, self.Omega)
+        if s < 1e154:
+            return (self.g**2 - self.Omega**2) / self.Delta
+        # the squares would overflow: scale both couplings by the larger
+        return ((self.g / s)**2 - (self.Omega / s)**2) * s / self.Delta * s
 
     @property
     def g_eff(self):
@@ -79,7 +83,11 @@ class SystemParams:
     def omega_bar(self):
         """Damped Rabi frequency, kept complex so the overdamped branch
         continues analytically (4 omega_bar^2 = 4 g_eff^2 - kappa^2 / 4)."""
-        return np.sqrt(complex(self.g_eff**2 - self.kappa**2 / 16.0))
+        if max(self.g_eff, self.kappa) < 1e154:
+            return np.sqrt(complex(self.g_eff**2 - self.kappa**2 / 16.0))
+        # the squares would overflow: scale both rates by the larger
+        s = max(self.g_eff, self.kappa / 4.0)
+        return s * np.sqrt(complex((self.g_eff / s)**2 - (self.kappa / 4.0 / s)**2))
 
     @property
     def gamma(self):
@@ -126,6 +134,16 @@ def _check_time(t):
     if not (t.min(initial=0.0) >= 0.0 and t.max(initial=0.0) < np.inf):   # NaN fails both
         raise ValueError("time must be finite and non-negative")
     return t
+
+
+def _check_grid(grid):
+    grid = np.asarray(grid, dtype=float)
+    if grid.size == 0:
+        raise ValueError("empty time grid")
+    # increasing from a finite start to a finite end: every point is finite
+    if not (grid[0] >= 0 and grid[-1] < np.inf and np.all(np.diff(grid) > 0)):
+        raise ValueError("grid must be finite, strictly increasing and start at t >= 0")
+    return grid
 
 
 def _squares(e, g):

@@ -13,7 +13,9 @@ Subcommands emit CSV or JSON data files (no plotting):
 
 Each subcommand and each preset takes only the flags its handler reads
 (``COMMANDS``, ``FIGURES``), plus ``--out``, ``--format`` and ``--config``.
-All rates are in units of kappa and times in 1/kappa.  Exit codes:
+Every rate is in the unit of ``--kappa`` (1 by default) and every time in
+its inverse; ``--geff`` gives the coupling and ``--ratio`` (beta / alpha)
+the initial state alpha|gg> + beta|ee>.  Exit codes:
 0 success, 2 configuration error (including a run too large for physical
 memory, rejected from a size estimate before it starts), 3
 numerical-validation failure (including a NaN or infinite output value).
@@ -115,15 +117,11 @@ def _finite(text):
 
 # flag -> argparse options; a flag is written --name with "_" as "-"
 FLAGS = {
-    "geff": dict(type=_finite, help="effective coupling in units of kappa"),
-    "g": dict(type=_finite, help="quantum-mode coupling"),
-    "omega": dict(type=_finite, help="classical-field coupling"),
+    "geff": dict(type=_finite, help="effective coupling g Omega / Delta"),
     "delta_detuning": dict(type=_finite, help="detuning Delta"),
-    "kappa": dict(type=_finite, help="cavity decay rate"),
-    "alpha": dict(type=_finite, help="initial ground-ground amplitude"),
-    "beta": dict(type=_finite, help="initial excited-excited amplitude"),
-    "ratio": dict(type=_finite, help="beta / alpha (alternative to alpha/beta)"),
-    "t_max": dict(type=_finite, help="grid horizon in 1/kappa"),
+    "kappa": dict(type=_finite, help="cavity decay rate, the unit of every rate"),
+    "ratio": dict(type=_finite, help="beta / alpha of the initial alpha|gg> + beta|ee>"),
+    "t_max": dict(type=_finite, help="grid horizon, in the inverse unit of --kappa"),
     "steps": dict(type=int, help="number of grid intervals"),
     "pairs": dict(help="comma-separated pair labels"),
     "regime": dict(choices=("exact", "strong", "weak"), help="amplitude formula"),
@@ -141,10 +139,10 @@ FLAGS = {
     "config": dict(help="JSON file with flag defaults; flags override it"),
 }
 
-# the flags of _resolve_params and of _resolve_initial; None marks a value
-# that is optional or derived from the others
-CHAIN = dict(geff=None, g=None, omega=None, delta_detuning=None, kappa=1.0)
-STATE = dict(CHAIN, alpha=None, beta=None, ratio=1.0)
+# the flags of _resolve_params, and those plus the initial state; None marks
+# a value that is required (geff) or has a default derived from the others
+CHAIN = dict(geff=None, delta_detuning=None, kappa=1.0)
+STATE = dict(CHAIN, ratio=1.0)
 DIAGONAL = ",".join(DIAGONAL_PAIRS)
 
 # subcommand -> the flags its handler reads, with their defaults
@@ -217,29 +215,9 @@ def _config_flags(args):
 
 
 def _resolve_params(args):
-    if args.g is not None or args.omega is not None:
-        if args.g is None or args.omega is None:
-            raise ConfigError("--g and --omega must be given together")
-        if args.delta_detuning is None:
-            raise ConfigError("--delta-detuning is required with explicit --g/--omega")
-        return SystemParams(g=args.g, Omega=args.omega, Delta=args.delta_detuning,
-                            kappa=args.kappa)
     if args.geff is None:
-        raise ConfigError("specify --geff or --g/--omega/--delta-detuning")
+        raise ConfigError("specify --geff")
     return SystemParams.from_geff(args.geff, kappa=args.kappa, Delta=args.delta_detuning)
-
-
-def _resolve_initial(args):
-    alpha, beta = args.alpha, args.beta
-    if alpha is None and beta is None:
-        return InitialAmplitudes.from_ratio(args.ratio)
-    # an amplitude above 1 leaves NaN for the other, which InitialAmplitudes rejects
-    with np.errstate(invalid="ignore"):
-        if alpha is None:
-            alpha = float(np.sqrt(1.0 - beta**2))
-        if beta is None:
-            beta = float(np.sqrt(1.0 - alpha**2))
-    return InitialAmplitudes(alpha=alpha, beta=beta)
 
 
 def _require_size(flags, nbytes):
@@ -301,7 +279,7 @@ def cmd_amplitudes(args):
 
 def cmd_concurrence(args):
     p = _resolve_params(args)
-    init = _resolve_initial(args)
+    init = InitialAmplitudes.from_ratio(args.ratio)
     pairs = _resolve_pairs(args)
     grid = _resolve_grid(args, 1 + len(pairs))
     data = [grid] + [concurrence_series(pair, init, p, grid) for pair in pairs]
@@ -312,7 +290,7 @@ def cmd_concurrence(args):
 
 def cmd_events(args):
     p = _resolve_params(args)
-    init = _resolve_initial(args)
+    init = InitialAmplitudes.from_ratio(args.ratio)
     pairs = _resolve_pairs(args)
     _require_detection_grid(args, p)
     found = [ev for pair in pairs
@@ -325,7 +303,7 @@ def cmd_events(args):
 
 def cmd_window(args):
     p = _resolve_params(args)
-    init = _resolve_initial(args)
+    init = InitialAmplitudes.from_ratio(args.ratio)
     _require_detection_grid(args, p)
     win = dead_window(init, p, args.t_max)
     if win is None:
@@ -372,7 +350,7 @@ def cmd_validate(args):
 
 def _strong_conditions(args):
     p = _resolve_params(args)
-    init = _resolve_initial(args)
+    init = InitialAmplitudes.from_ratio(args.ratio)
     grid = _resolve_grid(args, 4)
     e2, g2, _ = amplitudes_strong(grid, p)
     line = np.full_like(grid, init.alpha / init.beta)
@@ -383,7 +361,7 @@ def _strong_conditions(args):
 
 def _weak_condition(args):
     p = _resolve_params(args)
-    init = _resolve_initial(args)
+    init = InitialAmplitudes.from_ratio(args.ratio)
     grid = _resolve_grid(args, 4)
     g2 = amplitudes_weak(grid, p)[1]
     line = np.full_like(grid, init.alpha / init.beta)
@@ -394,7 +372,7 @@ def _weak_condition(args):
 
 def _weak_vs_exact(args):
     p = _resolve_params(args)
-    init = _resolve_initial(args)
+    init = InitialAmplitudes.from_ratio(args.ratio)
     grid = _resolve_grid(args, 1 + 2 * len(DIAGONAL_PAIRS))
     weak = amplitudes_weak(grid, p)
     cols, series = ["t"], [grid]

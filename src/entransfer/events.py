@@ -11,7 +11,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from ._roots import brentq
-from .amplitudes import SystemParams, exact_squares
+from .amplitudes import SystemParams, _check_grid, exact_squares
 from .errors import ConfigError, require_memory
 from .jointstate import DIAGONAL_PAIRS, PAIR_LABELS
 
@@ -80,12 +80,7 @@ def concurrence_series(pair, init, p, grid):
       beta^4 x^2 y^2 (1 - x^2)(1 - y^2), giving
       C = max(0, -2 g) with g of ``_cross_pair``.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("empty time grid")
-    # increasing from a finite start to a finite end: every point is finite
-    if not (grid[0] >= 0 and grid[-1] < np.inf and np.all(np.diff(grid) > 0)):
-        raise ValueError("grid must be finite, strictly increasing and start at t >= 0")
+    grid = _check_grid(grid)
     if pair not in PAIR_LABELS:
         raise ValueError(f"unknown pair label {pair!r}")
     squares = exact_squares(grid, p)
@@ -208,9 +203,13 @@ def _cavity_peak(p):
     """Time of the first (and highest) peak of |G_t|^2, where
     tan(w t) = 4 w / kappa with w = omega_bar: t* = arctan(4 w / kappa) / w,
     which is tanh(nu t*) = 4 nu / kappa when overdamped (w = i nu) and
-    t* = 4 / kappa at critical damping."""
+    t* = 4 / kappa at critical damping.  Below gamma ~ 2e-9, 4 nu / kappa
+    rounds to 1 and t* is inf: the peak, of order gamma^2, rounds away
+    against 1, and the cavity pair never entangles."""
     ob = p.omega_bar
     z = 4.0 * ob / p.kappa
+    if z == 1j:
+        return np.inf
     # arctan(z) / w = (4 / kappa)(1 - z^2 / 3 + ...)
     return 4.0 / p.kappa if abs(z) < 1e-8 else float((np.arctan(z) / ob).real)
 
@@ -225,7 +224,8 @@ def cavity_boundary(gamma):
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     p = SystemParams.from_geff(gamma)
-    return float(1.0 - exact_squares(_cavity_peak(p), p)[1])
+    t_peak = _cavity_peak(p)
+    return 1.0 if t_peak == np.inf else float(1.0 - exact_squares(t_peak, p)[1])
 
 
 def cavity_phase(gamma, ratio):
@@ -254,7 +254,7 @@ def cavity_entangled_intervals(gamma, ratio):
     p = SystemParams.from_geff(gamma)
     f = lambda t: (1.0 - exact_squares(t, p)[1]) - ratio
     t_peak = _cavity_peak(p)
-    if f(t_peak) >= 0.0:
+    if t_peak == np.inf or f(t_peak) >= 0.0:
         return []
     ob = p.omega_bar.real
     if ob > 0.0:

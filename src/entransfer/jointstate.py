@@ -55,7 +55,8 @@ class InitialAmplitudes:
             raise ValueError("alpha and beta must be finite")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be non-negative")
-        if abs(self.alpha**2 + self.beta**2 - 1.0) > 1e-12:
+        # an amplitude above 2 is far from normalized, and its square may overflow
+        if max(self.alpha, self.beta) > 2.0 or abs(self.alpha**2 + self.beta**2 - 1.0) > 1e-12:
             raise ValueError("alpha^2 + beta^2 must equal 1")
 
     @classmethod
@@ -63,7 +64,8 @@ class InitialAmplitudes:
         """Construct from the ratio beta / alpha."""
         if ratio < 0:
             raise ValueError("ratio must be non-negative")
-        alpha = 1.0 / np.sqrt(1.0 + ratio**2)
+        # past 1e154 ratio^2 overflows, and 1 + ratio^2 rounds to ratio^2 well before
+        alpha = 1.0 / ratio if ratio > 1e154 else 1.0 / np.sqrt(1.0 + ratio**2)
         return cls(alpha=alpha, beta=ratio * alpha)
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import _squares, amplitudes_exact, exact_squares
+from .amplitudes import _check_grid, _squares, amplitudes_exact, exact_squares
 from .errors import require_memory
 
 _ERROR_SAMPLES = 201    # times in [0, horizon] that discretized_errors compares
@@ -466,10 +466,7 @@ def lindblad_evolve(p, grid):
     the fixed-step RK4 update is the degree-4 Taylor polynomial of the
     exact propagator, applied once per substep.
     """
-    grid = np.asarray(grid, dtype=float)
-    # increasing from a finite start to a finite end: every point is finite
-    if not (grid.size and grid[0] >= 0 and grid[-1] < np.inf and np.all(np.diff(grid) > 0)):
-        raise ValueError("grid must be finite, strictly increasing and start at t >= 0")
+    grid = _check_grid(grid)
     step = 0.01 / max(p.kappa, abs(p.omega_bar), abs(p.Delta))
     lv = _liouvillian(p)
     one = np.eye(36, dtype=complex)

@@ -66,6 +66,21 @@ class TestSystemParams:
                 build()
             assert record[0].filename == __file__
 
+    @pytest.mark.filterwarnings("ignore:Delta is not large")
+    @pytest.mark.parametrize("geff, kappa, omega_bar", [
+        (5.0, 1e200, 2.5e199j),     # overdamped: i sqrt(kappa^2 / 16 - g_eff^2)
+        (1e200, 1.0, 1e200),
+        (1e300, 1e300, np.sqrt(15.0 / 16.0) * 1e300),
+    ])
+    def test_omega_bar_where_the_squares_overflow(self, geff, kappa, omega_bar):
+        p = params_geff(geff, kappa=kappa, Delta=1e3)
+        assert p.omega_bar == pytest.approx(omega_bar, rel=1e-14)
+
+    def test_delta_where_the_squares_overflow(self):
+        assert SystemParams(g=1e200, Omega=1e200, Delta=1e300).delta == 0.0
+        p = SystemParams(g=2e200, Omega=1e200, Delta=1e300)
+        assert p.delta == pytest.approx(3e100, rel=1e-14)
+
     def test_gamma_infinite_without_decay(self):
         p = SystemParams(g=50.0, Omega=50.0, Delta=500.0, kappa=0.0)
         assert p.gamma == np.inf

@@ -13,14 +13,43 @@ import pytest
 import entransfer
 from entransfer.cli import COMMANDS, FIGURES, build_parser, main
 from entransfer.events import EventRecord
+from entransfer.jointstate import PAIR_LABELS
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+
+# every closed-form subcommand and series preset, and the coupling and state
+# flags they no longer take: --geff and --ratio give both
+CLOSED_FORM = {**{name: [name, "--geff", "5"]
+                  for name in ("amplitudes", "concurrence", "events", "window")},
+               **{f"figure{n}": ["figure", str(n)] for n in (3, 4, 5, 6, 8, 9, 10)}}
+REMOVED = ["--g", "--omega", "--alpha", "--beta"]
+
+# each subcommand and preset at a small size, every one exiting 0
+SMALL = {
+    "amplitudes": ["--geff", "5", "--t-max", "1", "--steps", "10"],
+    "concurrence": ["--geff", "5", "--ratio", "1.5", "--t-max", "1", "--steps", "10",
+                    "--pairs", ",".join(PAIR_LABELS)],
+    "events": ["--geff", "5", "--ratio", "1.5", "--t-max", "3"],
+    "window": ["--geff", "0.1", "--ratio", "1.9"],        # no window: NaN cells
+    "phase-diagram": ["--gamma-steps", "2", "--ratio-steps", "3"],
+    "validate": ["--n-modes", "200", "--bandwidth", "100", "--t-max", "2"],
+}
+OUTPUTS = {**{name: [name] + SMALL[name] for name in COMMANDS},
+           **{f"figure{n}": ["figure", str(n)]
+              + (SMALL["phase-diagram"] if n == 7 else ["--steps", "4"]) for n in FIGURES}}
 
 
 def run(tmp_path, *argv):
     out = tmp_path / "out.dat"
     status = main(list(argv) + ["--out", str(out)])
     return status, out
+
+
+def emitted(cell):
+    """A JSON-decoded cell as ``emit`` writes it in CSV."""
+    if isinstance(cell, (str, int)):
+        return str(cell)
+    return "%.12g" % cell
 
 
 class TestDeterminism:
@@ -80,6 +109,15 @@ class TestJson:
         assert all(len(row) == len(data["columns"]) for row in data["records"])
         assert data["config"]["g_eff"] == pytest.approx(5.0)
 
+    @pytest.mark.parametrize("argv", OUTPUTS.values(), ids=OUTPUTS)
+    def test_csv_and_json_give_the_same_cells(self, argv, capsys):
+        assert main(argv) == 0
+        csv_rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+        assert main(argv + ["--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["columns"] == csv_rows[0]
+        assert [[emitted(c) for c in row] for row in data["records"]] == csv_rows[1:]
+
     def test_csv_and_json_agree(self, tmp_path):
         _, csv_out = run(tmp_path, "amplitudes", "--geff", "5",
                          "--t-max", "1", "--steps", "10")
@@ -137,6 +175,14 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert "--geff" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("key", [flag[2:] for flag in REMOVED])
+    @pytest.mark.parametrize("argv", CLOSED_FORM.values(), ids=CLOSED_FORM)
+    def test_removed_key_rejected(self, tmp_path, capsys, argv, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 0.6}))
+        assert main(argv + ["--config", str(cfg)]) == 2
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+
     def test_figure_preset_keys(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"t-max": 1, "steps": 4, "format": "json"}))
@@ -159,8 +205,11 @@ class TestExitCodes:
     def test_missing_coupling(self, capsys):
         assert main(["concurrence", "--ratio", "1.5"]) == 2
 
-    def test_incomplete_explicit_params(self, capsys):
-        assert main(["amplitudes", "--g", "50"]) == 2
+    def test_negative_ratio_rejected(self, capsys):
+        assert main(["concurrence", "--geff", "5", "--ratio", "-1.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: ratio must be non-negative\n"
 
     def test_bad_grid(self, capsys):
         assert main(["amplitudes", "--geff", "5", "--t-max", "-1"]) == 2
@@ -222,6 +271,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert flag in err and "GB" in err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::UserWarning")
+    @pytest.mark.parametrize("argv", [
+        ["figure", "3", "--ratio", "1e155"],
+        ["concurrence", "--geff", "5", "--ratio", "1e300"],
+        ["amplitudes", "--geff", "5", "--kappa", "1e200", "--t-max", "1", "--steps", "2"],
+        ["events", "--geff", "5", "--kappa", "1e200", "--t-max", "1"],
+        ["validate", "--kappa", "1e200"],
+    ])
+    def test_input_whose_square_overflows(self, argv, capsys):
+        assert main(argv) in (0, 2, 3)
+
+    def test_huge_ratio_gives_a_state(self, capsys):
+        assert main(["concurrence", "--geff", "5", "--ratio", "1e300", "--steps", "2",
+                     "--format", "json"]) == 0
+        cfg = json.loads(capsys.readouterr().out)["config"]
+        assert cfg["alpha"] == pytest.approx(1e-300, rel=1e-15) and cfg["beta"] == 1.0
+
+    def test_phase_boundary_below_double_resolution(self, capsys):
+        assert main(["phase-diagram", "--gamma-min", "1e-9", "--gamma-max", "1e-9",
+                     "--gamma-steps", "1", "--ratio-steps", "2"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "gamma,ratio,entangled,boundary\n1e-09,0.8,0,1\n1e-09,0.999,0,1\n"
+        assert captured.err == ""
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_output_exit_3(self, capsys):
         # exact_squares overflows at kappa t = 3000 in the overdamped branch
@@ -277,12 +350,15 @@ class TestMisc:
             assert main(["amplitudes", "--geff", "5", "--t-max", "1",
                          "--steps", "5", "--regime", regime]) == 0
 
-    def test_explicit_alpha_beta(self, capsys):
-        assert main(["concurrence", "--geff", "5", "--alpha", "0.6",
-                     "--beta", "0.8", "--t-max", "1", "--steps", "5"]) == 0
+    def test_ratio_sets_alpha_beta(self, capsys):
+        argv = ["concurrence", "--geff", "5", "--ratio", "1.3333333333333333",
+                "--t-max", "1", "--steps", "5"]
+        assert main(argv) == 0
         out = capsys.readouterr().out
         # C_a1a2(0) = 2 alpha beta = 0.96
         assert out.splitlines()[1].split(",")[1] == "0.96"
+        assert main(argv + ["--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["alpha"] == 0.6
 
 
 # the JSON "config" keys, in output order
@@ -305,7 +381,8 @@ class TestFlags:
         ["figure", "7", "--geff", "5"],
         ["figure", "5", "--pairs", "a1a2"],
         ["amplitudes", "--geff", "5", "--seed", "42"],
-    ])
+    ] + [pytest.param(argv + [flag, "0.6"], id=name + flag)
+         for name, argv in CLOSED_FORM.items() for flag in REMOVED])
     def test_unread_flag_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -326,13 +403,6 @@ class TestFlags:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "expected a finite number" in err and "Traceback" not in err
-
-    @pytest.mark.parametrize("flag", ["--alpha", "--beta"])
-    def test_amplitude_above_one_rejected(self, flag, capsys):
-        assert main(["concurrence", "--geff", "5", flag, "1.2"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error:") and "finite" in captured.err
 
     @pytest.mark.parametrize("argv, keys", [
         (["amplitudes", "--geff", "5", "--steps", "4"],

@@ -320,6 +320,14 @@ class TestCavityPhase:
         bs = [cavity_boundary(g) for g in (0.05, 0.1, 0.2, 0.5)]
         assert bs[0] > bs[1] > bs[2] > bs[3]
 
+    @pytest.mark.parametrize("gamma", [1e-12, 1e-9, 3e-9])
+    def test_below_double_resolution(self, gamma):
+        # 4 nu / kappa rounds to 1, putting the peak time at inf; the peak,
+        # of order gamma^2, rounds away against 1 there anyway
+        assert cavity_boundary(gamma) == 1.0
+        assert cavity_phase(gamma, 1.0 - 1e-15) == "unentangled"
+        assert cavity_entangled_intervals(gamma, 1.0 - 1e-15) == []
+
     def test_entangled_intervals_consistent_with_verdict(self):
         assert cavity_entangled_intervals(0.1, 0.985)
         assert cavity_entangled_intervals(0.1, 0.95) == []

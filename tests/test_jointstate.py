@@ -31,9 +31,21 @@ class TestInitialAmplitudes:
         assert init.beta == pytest.approx(3.0 * init.alpha)
         assert init.alpha**2 + init.beta**2 == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("ratio", [1e154, 1.5e154, 1e155, 1e300, np.float64(1e300)])
+    def test_from_huge_ratio(self, ratio):
+        # ratio^2 overflows past 1.34e154, where 1 + ratio^2 is ratio^2
+        init = InitialAmplitudes.from_ratio(ratio)
+        assert init.alpha == pytest.approx(1.0 / ratio, rel=1e-15)
+        assert init.beta == pytest.approx(1.0, rel=1e-15)
+
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             InitialAmplitudes(alpha=0.5, beta=0.5)
+
+    @pytest.mark.parametrize("alpha, beta", [(1e200, 0.0), (0.0, 1e300)])
+    def test_rejects_amplitude_whose_square_overflows(self, alpha, beta):
+        with pytest.raises(ValueError, match="must equal 1"):
+            InitialAmplitudes(alpha=alpha, beta=beta)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
