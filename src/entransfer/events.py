@@ -1,8 +1,8 @@
 """Sudden-death/birth/revival detection and the cavity phase diagram.
 
 Event detection brackets sign changes, so it works on the smooth g = -C/2
-of a pair on different chains, not on the clipped concurrence C.  Times are
-in units of 1/kappa and rates in units of kappa (kappa = 1).
+of a pair on different chains, not on the clipped concurrence C.  Times
+are in the inverse unit of the rates of ``SystemParams``, or 1/kappa without one.
 """
 
 from dataclasses import dataclass
@@ -34,7 +34,7 @@ ESR = "ESR"
 class EventRecord:
     kind: str       # ESD | ESB | ESR
     pair: str
-    time: float     # units 1/kappa
+    time: float     # in the inverse unit of the rates
 
 
 def _cross_pair(pair, init, squares):
@@ -53,12 +53,13 @@ def _cross_margin(pair, init, squares):
     """(margin, live): where ``live`` (beta x^2 y^2 > 0), g has the sign of
     beta^2 q - alpha^2, q = (1 - x^2)(1 - y^2), else C = 0.  Where q > 1/2 it
     is taken as (beta - alpha)(beta + alpha) - beta^2 (x^2 + y^2 - x^2 y^2),
-    which keeps the small x^2, y^2 that 1 - x^2 rounds away."""
+    which keeps the small x^2, y^2 that 1 - x^2 rounds away, else as
+    beta sqrt(max(q, 0)) - alpha, which keeps the alpha that alpha^2 underflows."""
     x2, y2 = (squares["acr".index(pair[k])] for k in (0, 2))
     a, b = init.alpha, init.beta
     q = (1.0 - x2) * (1.0 - y2)
     return (np.where(q > 0.5, (b - a) * (b + a) - b**2 * (x2 + y2 - x2 * y2),
-                     b**2 * q - a**2), b * x2 * y2 > 0.0)
+                     b * np.sqrt(np.maximum(q, 0.0)) - a), b * x2 * y2 > 0.0)
 
 
 def concurrence_series(pair, init, p, grid):
@@ -90,18 +91,16 @@ def concurrence_series(pair, init, p, grid):
     return 2.0 * init.beta**2 * np.sqrt(x2 * y2)
 
 
-def _require_horizon(horizon):
-    if not (np.isfinite(horizon) and horizon > 0):
-        raise ValueError("horizon must be positive and finite")
-
-
 def _detection_cells(p, horizon, n_points, what=None):
     """Cell count of the detection grid on [0, horizon]: ``n_points``, or by
     default POINTS_PER_PERIOD per Rabi period and at least MIN_CELLS.
 
-    Raises ConfigError, before anything is allocated, if the grid would not
-    fit in physical memory, naming it ``what`` (default: by its cell count
-    and horizon)."""
+    Raises ValueError unless the horizon is positive and finite, and
+    ConfigError, before anything is allocated, if the grid would not fit in
+    physical memory, naming it ``what`` (default: by its cell count and
+    horizon)."""
+    if not (np.isfinite(horizon) and horizon > 0):
+        raise ValueError("horizon must be positive and finite")
     if n_points is not None and n_points < 1:
         raise ValueError(f"the detection grid needs at least 1 cell, got {n_points}")
     period = 2.0 * np.pi / p.omega_bar.real if p.omega_bar.real > 0 else np.inf
@@ -125,14 +124,17 @@ def detect_events(pair, init, p, horizon, n_points=None):
     grid of ``n_points`` cells (default: POINTS_PER_PERIOD per Rabi period,
     at least MIN_CELLS), and each change is refined by brentq to 1e-8 in
     time: an ESD, or an ESB the first time and an ESR afterwards; an ESB at
-    0 if C(0) = 0 < C just after.  Two crossings in one cell can go unseen.
-    """
+    0 if C(0) = 0 < C just after.  ``_lattice`` splits the cells of a1a2,
+    c1c2 and r1r2 so that none holds two crossings; two crossings of a mixed
+    pair (a1c2, ...) in one cell can go unseen.  Non-finite amplitudes raise
+    ValueError."""
     if pair not in PAIR_LABELS or pair[1] == pair[3]:
         raise ValueError(f"event detection takes a pair on different chains "
                          f"(a1a2, a1c2, ...), got {pair!r}")
-    _require_horizon(horizon)
     grid = np.linspace(0.0, horizon, _detection_cells(p, horizon, n_points) + 1)
-    squares = exact_squares(grid, p)
+    if pair in DIAGONAL_PAIRS:
+        grid = np.union1d(grid, _lattice(p, horizon))
+    squares = _finite(exact_squares(grid, p), horizon)
     g, (margin, live) = _cross_pair(pair, init, squares), _cross_margin(pair, init, squares)
     # C(0) = 0 for all pairs but a1a2; the margin at t = 0 is the sign just after
     born, live[0] = not live[0], init.beta > 0.0
@@ -202,16 +204,47 @@ def weak_event_times(init, gamma):
 def _cavity_peak(p):
     """Time of the first (and highest) peak of |G_t|^2, where
     tan(w t) = 4 w / kappa with w = omega_bar: t* = arctan(4 w / kappa) / w,
-    which is tanh(nu t*) = 4 nu / kappa when overdamped (w = i nu) and
-    t* = 4 / kappa at critical damping.  Below gamma ~ 2e-9, 4 nu / kappa
-    rounds to 1 and t* is inf: the peak, of order gamma^2, rounds away
-    against 1, and the cavity pair never entangles."""
+    tanh(nu t*) = 4 nu / kappa overdamped (w = i nu), 4 / kappa at critical
+    damping, pi / 2w at kappa = 0.  Below gamma ~ 2e-9, 4 nu / kappa rounds
+    to 1 and t* is inf: the peak, of order gamma^2, rounds away against 1."""
     ob = p.omega_bar
-    z = 4.0 * ob / p.kappa
+    z = 4.0 * ob / p.kappa if p.kappa > 0 else np.inf
     if z == 1j:
         return np.inf
     # arctan(z) / w = (4 / kappa)(1 - z^2 / 3 + ...)
     return 4.0 / p.kappa if abs(z) < 1e-8 else float((np.arctan(z) / ob).real)
+
+
+def _lattice(p, horizon):
+    """0, ``horizon`` and the times between at which |E|^2 or |G|^2 is
+    stationary, so that |E|^2, |G|^2 and R^2 (dR^2/dt = kappa |G|^2) are
+    monotone between neighbours.  As dE/dt = -g_eff^2 (sin(w t) / w) e^{-kappa t / 4},
+    for real w = omega_bar these are k pi / w, the zeros k pi / w - t* of E and
+    the peaks t* + k pi / w of |G|^2; else E > 0 falls and |G|^2 peaks at t*."""
+    t_peak, w = _cavity_peak(p), p.omega_bar.real
+    k_pi = np.arange(horizon * w // np.pi + 2.0) * np.pi / w if w > 0.0 else np.zeros(1)
+    inner = np.concatenate((k_pi, t_peak + k_pi, k_pi - t_peak))
+    return np.union1d(inner[(inner > 0.0) & (inner < horizon)], [0.0, horizon])
+
+
+def _finite(values, horizon):
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"the exact amplitudes are not finite on [0, {horizon:g}]")
+    return values
+
+
+def _intervals(f, ts, xtol):
+    """Intervals of [ts[0], ts[-1]] on which f < 0, for an f monotone
+    between neighbours of ``ts``.  One array call narrows each end's bracket
+    to a sixteenth of its cell, and brentq refines the end to xtol."""
+    neg = _finite(f(ts), ts[-1]) < 0.0
+    k = np.flatnonzero(neg[:-1] != neg[1:])
+    sub = np.linspace(ts[k], ts[k + 1], 17, axis=-1)
+    sub_neg = _finite(f(sub.ravel()), ts[-1]).reshape(sub.shape) < 0.0
+    j = np.argmax(sub_neg != neg[k, None], axis=1)
+    ends = [brentq(f, row[i - 1], row[i], xtol=xtol) for row, i in zip(sub, j)]
+    ends = ([float(ts[0])] if neg[0] else []) + ends + ([float(ts[-1])] if neg[-1] else [])
+    return list(zip(ends[::2], ends[1::2]))
 
 
 def cavity_boundary(gamma):
@@ -239,16 +272,10 @@ def cavity_entangled_intervals(gamma, ratio):
     """Time intervals on which the cavity pair is entangled for
     alpha/beta = ratio (exact amplitudes): where 1 - |G_t|^2 < ratio.
 
-    |G_t|^2 is monotone between its closed-form critical points, so every
-    crossing has an exact bracket, refined by brentq to 1e-10 in time.
-    Underdamped (real w = omega_bar), |G|^2 vanishes at k pi / w and peaks
-    at t* + k pi / w (t* from ``_cavity_peak``), each peak e^{-kappa pi / 2w}
-    times the one before: an interval opens and closes around every peak
-    above 1 - ratio.  Overdamped or critically damped, |G|^2 peaks once,
-    at t*: the ESB lies in [0, t*], and the ESD past t* in the first of
-    [t*, 2t*], [2t*, 4t*], ... where f >= 0 again.  Raises ValueError if
-    the amplitudes overflow (kappa t ~ 2840) before that.
-    """
+    ``_lattice`` brackets each crossing, refined to 1e-10 in time, up to a
+    half period pi / w past the last peak of |G|^2 above 1 - ratio (real
+    w = omega_bar), else to the first of 2t*, 4t*, ... where f >= 0 again.
+    Non-finite amplitudes (kappa t ~ 2840 overdamped) raise ValueError."""
     if not 0.0 < ratio < 1.0:
         raise ValueError("ratio alpha/beta must lie in (0, 1)")
     p = SystemParams.from_geff(gamma)
@@ -256,26 +283,17 @@ def cavity_entangled_intervals(gamma, ratio):
     t_peak = _cavity_peak(p)
     if t_peak == np.inf or f(t_peak) >= 0.0:
         return []
-    ob = p.omega_bar.real
-    if ob > 0.0:
-        half = np.pi / ob
-        # peak k stands at |G(t*)|^2 e^{-kappa k half / 2}: count those above
-        # 1 - ratio, plus one spare against rounding
-        efolds = np.log(exact_squares(t_peak, p)[1] / (1.0 - ratio))
-        peaks = t_peak + half * np.arange(int(efolds / (p.kappa * half / 2.0)) + 2)
-        return [(brentq(f, k * half, peaks[k], xtol=1e-10),
-                 brentq(f, peaks[k], (k + 1) * half, xtol=1e-10))
-                for k in np.flatnonzero(f(peaks) < 0.0)]
-    lo, hi = t_peak, 2.0 * t_peak
+    hi = 2.0 * t_peak
     with np.errstate(over="ignore", invalid="ignore"):
-        # cosh and sinh overflow near kappa t ~ 2840, leaving f NaN or -inf
-        while np.isfinite(f_hi := f(hi)) and f_hi < 0.0:
-            lo, hi = hi, 2.0 * hi
-    if not np.isfinite(f_hi):
-        raise ValueError(
-            f"the cavity pair is still entangled at t = {lo:.6g} and "
-            f"disentangles past the range where the exact amplitudes are finite")
-    return [(brentq(f, 0.0, t_peak, xtol=1e-10), brentq(f, lo, hi, xtol=1e-10))]
+        if p.omega_bar.real > 0.0:
+            half = np.pi / p.omega_bar.real
+            # peak k is |G(t*)|^2 e^{-kappa k half / 2}; one spare against rounding
+            efolds = np.log(exact_squares(t_peak, p)[1] / (1.0 - ratio))
+            hi = t_peak + half * (int(efolds / (p.kappa * half / 2.0)) + 2)
+        # cosh and sinh overflow near kappa t ~ 2840: f turns -inf, then NaN
+        while f(hi) < 0.0:
+            hi *= 2.0
+        return _intervals(f, _lattice(p, hi), xtol=1e-10)
 
 
 @dataclass(frozen=True)
@@ -303,22 +321,23 @@ def dead_window(init, p, horizon):
     """Widest interval on which no pair on different chains is entangled;
     None if there is none (or no entanglement at all to begin with).
 
-    Only a1a2, c1c2 and r1r2 need a scan: where all three are unentangled,
+    Only a1a2, c1c2 and r1r2 need a search: where all three are unentangled,
     beta (1 - x^2) >= alpha for x^2 = |E|^2, |G|^2 and R^2, and the product
     of two of these, beta^2 (1 - x^2)(1 - y^2) >= alpha^2, leaves the other
-    six unentangled too.  The window is the widest gap in the union of the
-    intervals their alternating events bound (a1a2 starts entangled).
-    """
-    _require_horizon(horizon)
+    six unentangled too.  The window is the earliest of the widest gaps
+    (widths within 2e-8 tie) between the intervals where their margins are
+    negative, whose ends ``_lattice`` brackets, refined to 1e-8."""
+    _detection_cells(p, horizon, None)    # the lattice holds fewer points
     if init.alpha * init.beta == 0:
         return None
+    ts = _lattice(p, horizon)
     covered = []
     for pair in DIAGONAL_PAIRS:
-        ends = [0.0] if pair == "a1a2" else []
-        ends += [ev.time for ev in detect_events(pair, init, p, horizon)]
-        covered += zip(ends[::2], ends[1::2] + [horizon])
+        margin = lambda t, pair=pair: _cross_margin(pair, init, exact_squares(t, p))[0]
+        covered += _intervals(margin, ts, xtol=1e-8)
     gaps, reach = [], 0.0
     for lo, hi in sorted(covered) + [(horizon, horizon)]:
         gaps += [(reach, lo)] if lo > reach else []
         reach = max(reach, hi)
-    return max(gaps, key=lambda gap: gap[1] - gap[0], default=None)
+    widest = max((hi - lo for lo, hi in gaps), default=None)
+    return next((gap for gap in gaps if gap[1] - gap[0] >= widest - 2e-8), None)

@@ -324,6 +324,38 @@ class TestMisc:
         assert found == "1" and t_end == "3"
         assert float(t_start) == pytest.approx(2.0e-4, rel=1e-3)
 
+    def test_window_clear_of_a_narrow_cavity_interval(self, capsys):
+        # c1c2 is entangled on [0.30432, 0.30476], narrower than a grid cell
+        assert main(["window", "--geff", "5", "--ratio", "7.08", "--t-max", "10"]) == 0
+        found, t_start, t_end, _ = capsys.readouterr().out.strip().split("\n")[1].split(",")
+        assert found == "1" and float(t_start) == pytest.approx(0.304756, abs=1e-6)
+
+    @pytest.mark.filterwarnings("error")
+    def test_undamped_window_is_the_earliest_of_equal_gaps(self, capsys):
+        # at kappa = 0 the gaps repeat every pi / g_eff with equal widths
+        assert main(["window", "--geff", "5", "--kappa", "0", "--ratio", "3"]) == 0
+        captured = capsys.readouterr()
+        found, t_start, t_end, _ = captured.out.strip().split("\n")[1].split(",")
+        assert captured.err == "" and found == "1"
+        assert float(t_start) == pytest.approx(0.1230959417, abs=1e-8)
+        assert float(t_end) == pytest.approx(0.1910633236, abs=1e-8)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command", [["events", "--pairs", "a1c2"], ["window"]])
+    def test_non_finite_amplitudes_exit_2(self, command, capsys):
+        # cosh overflows and the damping underflows: NaN squares past t = 0
+        argv = command[:1] + ["--geff", "5", "--kappa", "1e150", "--t-max", "1"] + command[1:]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not finite" in captured.err
+
+    def test_a1a2_entangled_at_zero_where_alpha_squared_underflows(self, capsys):
+        assert main(["events", "--geff", "5", "--ratio", "1e200", "--t-max", "3",
+                     "--pairs", "a1a2"]) == 0
+        assert capsys.readouterr().out.split()[1:] == ["ESD,a1a2,0"]
+        assert main(["window", "--geff", "5", "--ratio", "1e200", "--t-max", "3"]) == 0
+        assert capsys.readouterr().out.split()[1] == "1,0,3,3"
+
     @pytest.mark.parametrize("ratio", ["1", "0.5"])
     def test_no_false_events_far_out(self, ratio, capsys):
         # a1a2 stays entangled: rounding (ratio 1) and underflow (ratio 0.5)

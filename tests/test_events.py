@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq as scipy_brentq
 
@@ -28,6 +28,7 @@ from entransfer.events import (
     weak_event_times,
 )
 from entransfer.jointstate import (
+    DIAGONAL_PAIRS,
     PAIR_LABELS,
     InitialAmplitudes,
     lambda_minus,
@@ -218,6 +219,29 @@ class TestDetectEvents:
         init = InitialAmplitudes.from_ratio(ratio)
         assert detect_events("a1a2", init, P_STRONG, 4000.0) == []
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("p, horizon", [
+        (SystemParams.from_geff(5.0, kappa=1e150), 1.0),   # cosh overflows, the damping underflows
+        (SystemParams.from_geff(0.01), 3000.0),            # overdamped past kappa t ~ 2840
+    ])
+    def test_non_finite_amplitudes_rejected(self, p, horizon):
+        # NaN squares compare false with 0 and once read as an ESB at t = 0
+        init = InitialAmplitudes.from_ratio(1.5)
+        for pair in ("a1c2", "a1a2"):
+            with pytest.raises(ValueError, match="not finite"):
+                detect_events(pair, init, p, horizon)
+        with pytest.raises(ValueError, match="not finite"):
+            dead_window(init, p, horizon)
+
+    def test_a1a2_starts_entangled_where_alpha_squared_underflows(self):
+        # at beta / alpha = 1e200, alpha^2 = 1e-400 rounds to 0, and the
+        # margin beta^2 q - alpha^2 at t = 0 read -0.0: not entangled
+        init = InitialAmplitudes.from_ratio(1e200)
+        events = detect_events("a1a2", init, P_STRONG, 3.0)
+        assert [ev.kind for ev in events] == [ESD] and events[0].time < 1e-7
+        t_start, t_end = dead_window(init, P_STRONG, 3.0)
+        assert t_start < 1e-7 and t_end == 3.0
+
 
 def log_uniform(lo, hi):
     return st.floats(np.log(lo), np.log(hi)).map(np.exp)
@@ -253,6 +277,27 @@ class TestDetectEventsProperties:
                 assert conc(ev.time) < 2e-8
             entangled, ever, t_prev = not entangled, True, ev.time
         assert holds(t_prev, horizon, entangled)
+
+
+class TestLattice:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(g_eff=log_uniform(0.01, 20.0), kappa=st.sampled_from([0.0, 1.0, 2.0]),
+           horizon=log_uniform(1.0, 60.0))
+    @example(g_eff=0.25, kappa=1.0, horizon=60.0)      # critical damping, gamma = 1/4
+    @example(g_eff=0.5, kappa=2.0, horizon=60.0)
+    @example(g_eff=5.0, kappa=0.0, horizon=10.0)
+    def test_squares_monotone_between_neighbours(self, g_eff, kappa, horizon):
+        p = SystemParams.from_geff(g_eff, kappa=kappa, Delta=1e6)
+        ts = events_module._lattice(p, horizon)
+        assert ts[0] == 0.0 and ts[-1] == horizon and np.all(np.diff(ts) > 0.0)
+        # 40 samples in each cell, both neighbours included
+        s = ts[:-1, None] + np.diff(ts)[:, None] * np.linspace(0.0, 1.0, 40)
+        e2, g2, r2 = (x.reshape(s.shape) for x in exact_squares(s.ravel(), p))
+        tol = 1e-13
+        for x2 in (e2, g2):
+            step = np.diff(x2, axis=1)
+            assert np.all(np.all(step >= -tol, axis=1) | np.all(step <= tol, axis=1))
+        assert np.all(np.diff(r2, axis=1) >= -tol)
 
 
 class TestConcurrenceSeries:
@@ -353,7 +398,9 @@ class TestCavityPhase:
         events = detect_events("c1c2", InitialAmplitudes.from_ratio(1.0 / ratio),
                                p, horizon)
         assert events[-1].kind == ESD
-        assert intervals[-1][1] == pytest.approx(events[-1].time, abs=1e-8)
+        # every ESB, ESD and ESR, not only the last ESD
+        assert len(events) == 2 * len(intervals)
+        assert np.allclose([ev.time for ev in events], np.ravel(intervals), rtol=0.0, atol=1e-8)
 
     def test_entangled_intervals_input_checks(self):
         for ratio in (0.0, 1.0, float("nan")):
@@ -446,6 +493,37 @@ class TestDeadWindow:
         for pair in DIFFERENT_CHAINS:
             assert np.all(concurrence_series(pair, init, p, ts) == 0.0), pair
 
+    @pytest.mark.filterwarnings("ignore:Delta is not large")
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(gamma=log_uniform(0.05, 10.0), ratio=log_uniform(1.01, 50.0),
+           horizon=log_uniform(1.0, 60.0))
+    @example(gamma=5.0, ratio=7.08, horizon=10.0)   # c1c2 entangled on [0.30432, 0.30476]
+    def test_window_matches_a_dense_scan(self, gamma, ratio, horizon):
+        p = SystemParams.from_geff(gamma)
+        init = InitialAmplitudes.from_ratio(ratio)
+        win = dead_window(init, p, horizon)
+        ts, step = np.linspace(0.0, horizon, 20001, retstep=True)
+        dead = np.all([concurrence_series(pair, init, p, ts) == 0.0
+                       for pair in DIAGONAL_PAIRS], axis=0)
+        if win is None:
+            # no dead run longer than two scan steps
+            assert not np.any(dead[1:-1] & dead[2:] & dead[:-2])
+            return
+        lo, hi = win
+        # nothing entangled inside, but for the root tolerance at each end
+        inner = (ts > lo + 2e-8) & (ts < hi - 2e-8)
+        assert np.all(dead[inner])
+        # every end is 0, the horizon or a root of a margin
+        margin = lambda pair, t: events_module._cross_margin(pair, init, exact_squares(t, p))[0]
+        tol = 1e-8 + 1e-15 * horizon
+        for t in win:
+            assert t in (0.0, horizon) or any(
+                margin(pair, max(t - tol, 0.0)) * margin(pair, t + tol) <= 0.0
+                for pair in DIAGONAL_PAIRS)
+        # and no dead run of the scan is wider than the window
+        runs = np.flatnonzero(np.diff(np.concatenate(([0], dead.astype(int), [0]))))
+        assert np.max(np.diff(runs)[::2] - 1) * step <= hi - lo + 2e-8
+
 
 def recorded_brackets(search):
     """(f, a, b, xtol) of every root-finder call that ``search()`` makes."""
@@ -479,6 +557,18 @@ class TestBrentq:
             p, init = SystemParams.from_geff(gamma), InitialAmplitudes.from_ratio(ratio)
             for pair in ("a1a2", "c1c2", "r1r2"):
                 calls += recorded_brackets(lambda: detect_events(pair, init, p, horizon))
+        assert len(calls) > 150
+        assert_scipy_roots(calls)
+
+    def test_dead_window_brackets_match_scipy(self):
+        rng = np.random.default_rng(21)
+        calls = []
+        for _ in range(60):
+            gamma = np.exp(rng.uniform(np.log(0.05), np.log(10.0)))
+            ratio = np.exp(rng.uniform(0.0, np.log(50.0)))
+            horizon = np.exp(rng.uniform(0.0, np.log(80.0)))
+            p, init = SystemParams.from_geff(gamma), InitialAmplitudes.from_ratio(ratio)
+            calls += recorded_brackets(lambda: dead_window(init, p, horizon))
         assert len(calls) > 150
         assert_scipy_roots(calls)
 
