@@ -15,10 +15,13 @@ from .amplitudes import (
 )
 from .errors import ConfigError
 from .events import (
+    DIAGONAL_PAIRS,
     ESB,
     ESD,
     ESR,
+    PAIR_LABELS,
     EventRecord,
+    InitialAmplitudes,
     PhaseDiagram,
     WeakEventTimes,
     cavity_boundary,
@@ -28,22 +31,9 @@ from .events import (
     dead_window,
     detect_events,
     esb_time_strong,
+    lambda_minus,
     phase_diagram,
     weak_event_times,
-)
-from .jointstate import (
-    CROSS_PAIRS,
-    DIAGONAL_PAIRS,
-    InitialAmplitudes,
-    PAIR_LABELS,
-    concurrence_closed,
-    cross_concurrence_closed,
-    global_tangle,
-    joint_state,
-    lambda_minus,
-    pair_concurrence,
-    reduced_pair,
-    rho_closed,
 )
 from .oracle import (
     CollectiveChain,
@@ -65,10 +55,7 @@ __all__ = [
     "cavity_boundary", "cavity_entangled_intervals", "cavity_phase",
     "concurrence_series", "dead_window", "detect_events", "esb_time_strong",
     "phase_diagram", "weak_event_times",
-    "CROSS_PAIRS", "DIAGONAL_PAIRS", "InitialAmplitudes", "PAIR_LABELS",
-    "concurrence_closed", "cross_concurrence_closed", "global_tangle",
-    "joint_state", "lambda_minus", "pair_concurrence", "reduced_pair",
-    "rho_closed",
+    "DIAGONAL_PAIRS", "InitialAmplitudes", "PAIR_LABELS", "lambda_minus",
     "CollectiveChain", "ReservoirDiscretization", "build_hamiltonian",
     "collective_chain", "discretized_errors", "evolve", "lindblad_evolve",
     "lindblad_max_error",

@@ -33,8 +33,8 @@ import numpy as np
 
 from .amplitudes import SystemParams, amplitudes_strong, amplitudes_weak, exact_squares
 from .errors import ConfigError, require_memory
-from .events import _detection_cells, concurrence_series, dead_window, detect_events, phase_diagram
-from .jointstate import DIAGONAL_PAIRS, InitialAmplitudes, PAIR_LABELS, lambda_minus
+from .events import (DIAGONAL_PAIRS, InitialAmplitudes, PAIR_LABELS, _detection_cells,
+                     concurrence_series, dead_window, detect_events, lambda_minus, phase_diagram)
 from . import oracle
 
 EXIT_OK = 0
@@ -442,7 +442,9 @@ def main(argv=None):
             # so argparse types them and a flag on the command line wins
             n = 2 if args.command == "figure" else 1
             args = parser.parse_args(argv[:n] + _config_flags(args) + argv[n:])
-        result = HANDLERS[args.command](args)
+        # a non-finite result is reported by its error line, not by numpy warnings
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            result = HANDLERS[args.command](args)
         status = EXIT_OK
         if len(result) == 4:
             cfg, columns, data, status = result

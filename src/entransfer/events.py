@@ -1,8 +1,12 @@
-"""Sudden-death/birth/revival detection and the cavity phase diagram.
+"""The two-chain model, its pair concurrences, sudden-death/birth/revival
+detection and the cavity phase diagram.
 
-Event detection brackets sign changes, so it works on the smooth g = -C/2
-of a pair on different chains, not on the clipped concurrence C.  Times
-are in the inverse unit of the rates of ``SystemParams``, or 1/kappa without one.
+The model is defined here: the initial state alpha |gg> + beta |ee> with
+cavities and reservoirs in vacuum (``InitialAmplitudes``), the 15 pair
+labels and ``lambda_minus`` of the a1a2 / c1c2 / r1r2 states.  Event
+detection brackets sign changes, so it works on the smooth g = -C/2 of a
+pair on different chains, not on the clipped concurrence C.  Times are in
+the inverse unit of the rates of ``SystemParams``, or 1/kappa without one.
 """
 
 from dataclasses import dataclass
@@ -13,7 +17,6 @@ import numpy as np
 from ._roots import brentq
 from .amplitudes import SystemParams, _check_grid, exact_squares
 from .errors import ConfigError, require_memory
-from .jointstate import DIAGONAL_PAIRS, PAIR_LABELS
 
 # bench/spans.py wraps events.brentq and events.minimize_scalar by name; the
 # next benchmark revision (ROADMAP item 1) traces brentq alone and deletes this
@@ -24,10 +27,61 @@ POINTS_PER_PERIOD = 40
 MIN_CELLS = 2000
 # peak bytes per detection-grid point, measured with numpy 2 on CPython 3.11
 GRID_POINT_BYTES = 128
+# the same per half period pi / w for the scans of ``_intervals`` at two
+# crossings, the most there are (3.1-3.3 kB)
+SCAN_STEP_BYTES = 4096
+
+# the 15 unordered subsystem pairs, canonical label order
+PAIR_LABELS = (
+    "a1a2", "c1c2", "r1r2",
+    "a1c1", "c1r1", "a1r1",
+    "a2c2", "c2r2", "a2r2",
+    "a1c2", "a1r2", "c1r2",
+    "a2c1", "a2r1", "c2r1",
+)
+
+# pairs with a printed closed-form X matrix / negative PT eigenvalue
+DIAGONAL_PAIRS = ("a1a2", "c1c2", "r1r2")
 
 ESD = "ESD"
 ESB = "ESB"
 ESR = "ESR"
+
+
+@dataclass(frozen=True)
+class InitialAmplitudes:
+    """Non-negative amplitudes of the initial atomic state
+    alpha |gg> + beta |ee>, with alpha^2 + beta^2 = 1."""
+
+    alpha: float
+    beta: float
+
+    def __post_init__(self):
+        if not (np.isfinite(self.alpha) and np.isfinite(self.beta)):
+            raise ValueError("alpha and beta must be finite")
+        if self.alpha < 0 or self.beta < 0:
+            raise ValueError("alpha and beta must be non-negative")
+        # an amplitude above 2 is far from normalized, and its square may overflow
+        if max(self.alpha, self.beta) > 2.0 or abs(self.alpha**2 + self.beta**2 - 1.0) > 1e-12:
+            raise ValueError("alpha^2 + beta^2 must equal 1")
+
+    @classmethod
+    def from_ratio(cls, ratio):
+        """Construct from the ratio beta / alpha."""
+        if ratio < 0:
+            raise ValueError("ratio must be non-negative")
+        # past 1e154 ratio^2 overflows, and 1 + ratio^2 rounds to ratio^2 well before
+        alpha = 1.0 / ratio if ratio > 1e154 else 1.0 / np.sqrt(1.0 + ratio**2)
+        return cls(alpha=alpha, beta=ratio * alpha)
+
+
+def lambda_minus(pair, x2, init):
+    """Negative partial-transpose eigenvalue beta x^2 (beta (1 - x^2) - alpha)
+    of the closed-form pair matrix; array-aware in x2."""
+    if pair not in DIAGONAL_PAIRS:
+        raise ValueError(f"no closed-form lambda for pair {pair!r}")
+    a, b = init.alpha, init.beta
+    return b * x2 * (b * (1.0 - x2) - a)
 
 
 @dataclass(frozen=True)
@@ -233,14 +287,18 @@ def _finite(values, horizon):
     return values
 
 
-def _intervals(f, ts, xtol):
-    """Intervals of [ts[0], ts[-1]] on which f < 0, for an f monotone
-    between neighbours of ``ts``.  One array call narrows each end's bracket
-    to a sixteenth of its cell, and brentq refines the end to xtol."""
-    neg = _finite(f(ts), ts[-1]) < 0.0
+def _intervals(f, p, horizon, xtol):
+    """Intervals of [0, horizon] on which f < 0, for an f monotone between
+    neighbours of ``_lattice(p, horizon)``.  One array call narrows each
+    end's bracket to a sixteenth of its cell, and brentq refines it to xtol.
+    ConfigError, raised before allocating, marks scans past physical memory."""
+    n = horizon * p.omega_bar.real / np.pi + 2.0
+    require_memory(n * SCAN_STEP_BYTES, f"a scan of {n:g} half periods on horizon {horizon:g}")
+    ts = _lattice(p, horizon)
+    neg = _finite(f(ts), horizon) < 0.0
     k = np.flatnonzero(neg[:-1] != neg[1:])
     sub = np.linspace(ts[k], ts[k + 1], 17, axis=-1)
-    sub_neg = _finite(f(sub.ravel()), ts[-1]).reshape(sub.shape) < 0.0
+    sub_neg = _finite(f(sub.ravel()), horizon).reshape(sub.shape) < 0.0
     j = np.argmax(sub_neg != neg[k, None], axis=1)
     ends = [brentq(f, row[i - 1], row[i], xtol=xtol) for row, i in zip(sub, j)]
     ends = ([float(ts[0])] if neg[0] else []) + ends + ([float(ts[-1])] if neg[-1] else [])
@@ -275,7 +333,8 @@ def cavity_entangled_intervals(gamma, ratio):
     ``_lattice`` brackets each crossing, refined to 1e-10 in time, up to a
     half period pi / w past the last peak of |G|^2 above 1 - ratio (real
     w = omega_bar), else to the first of 2t*, 4t*, ... where f >= 0 again.
-    Non-finite amplitudes (kappa t ~ 2840 overdamped) raise ValueError."""
+    Non-finite amplitudes (kappa t ~ 2840 overdamped) raise ValueError, and
+    a scan past physical memory ConfigError."""
     if not 0.0 < ratio < 1.0:
         raise ValueError("ratio alpha/beta must lie in (0, 1)")
     p = SystemParams.from_geff(gamma)
@@ -293,7 +352,7 @@ def cavity_entangled_intervals(gamma, ratio):
         # cosh and sinh overflow near kappa t ~ 2840: f turns -inf, then NaN
         while f(hi) < 0.0:
             hi *= 2.0
-        return _intervals(f, _lattice(p, hi), xtol=1e-10)
+        return _intervals(f, p, hi, xtol=1e-10)
 
 
 @dataclass(frozen=True)
@@ -327,14 +386,13 @@ def dead_window(init, p, horizon):
     six unentangled too.  The window is the earliest of the widest gaps
     (widths within 2e-8 tie) between the intervals where their margins are
     negative, whose ends ``_lattice`` brackets, refined to 1e-8."""
-    _detection_cells(p, horizon, None)    # the lattice holds fewer points
+    _detection_cells(p, horizon, None)    # validates the horizon
     if init.alpha * init.beta == 0:
         return None
-    ts = _lattice(p, horizon)
     covered = []
     for pair in DIAGONAL_PAIRS:
         margin = lambda t, pair=pair: _cross_margin(pair, init, exact_squares(t, p))[0]
-        covered += _intervals(margin, ts, xtol=1e-8)
+        covered += _intervals(margin, p, horizon, xtol=1e-8)
     gaps, reach = [], 0.0
     for lo, hi in sorted(covered) + [(horizon, horizon)]:
         gaps += [(reach, lo)] if lo > reach else []

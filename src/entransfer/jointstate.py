@@ -1,37 +1,26 @@
-"""Two-chain joint state, reduced density matrices and concurrences.
+"""Reference route: the two-chain joint state, reduced density matrices
+and Wootters concurrences, and the paper's printed closed forms.
 
-The joint system is two identical, non-interacting atom-cavity-reservoir
-chains.  Each chain is reduced to three effective qubits (atom e/g,
-cavity 0/1 photon, reservoir collective 0/1 excitation); bit value 1
-marks the excited local state.  Qubit order is (a1, c1, r1, a2, c2, r2)
-with big-endian indexing, so the joint pure state lives in dimension 64.
-
-The initial state is (alpha |gg> + beta |ee>) with cavities and
-reservoirs in vacuum; each chain then evolves with the closed-form
-amplitudes of :mod:`entransfer.amplitudes`.
+Neither the CLI nor the package root imports this module; it checks the
+closed forms of :mod:`entransfer.events`, which owns the model's definitions
+(initial state, pair labels, ``lambda_minus``).  The joint system is two
+identical, non-interacting atom-cavity-reservoir chains.  Each chain is
+reduced to three effective qubits (atom e/g, cavity 0/1 photon, reservoir
+collective 0/1 excitation); bit value 1 marks the excited local state.
+Qubit order is (a1, c1, r1, a2, c2, r2) with big-endian indexing, so the
+joint pure state lives in dimension 64.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import qops
 from .amplitudes import _squares, amplitudes_exact
+# bench/workloads.py imports InitialAmplitudes from here; jointstate uses the other three
+from .events import DIAGONAL_PAIRS, InitialAmplitudes, PAIR_LABELS, lambda_minus
 
 # qubit index per subsystem label
 QUBIT_INDEX = {"a1": 0, "c1": 1, "r1": 2, "a2": 3, "c2": 4, "r2": 5}
 
-# the 15 unordered subsystem pairs, canonical label order
-PAIR_LABELS = (
-    "a1a2", "c1c2", "r1r2",
-    "a1c1", "c1r1", "a1r1",
-    "a2c2", "c2r2", "a2r2",
-    "a1c2", "a1r2", "c1r2",
-    "a2c1", "a2r1", "c2r1",
-)
-
-# pairs with a printed closed-form X matrix / negative PT eigenvalue
-DIAGONAL_PAIRS = ("a1a2", "c1c2", "r1r2")
 # non-interacting cross pairs with a printed closed-form concurrence
 CROSS_PAIRS = ("a1c2", "a1r2", "c1r2")
 
@@ -40,33 +29,6 @@ def pair_qubits(pair):
     if pair not in PAIR_LABELS:
         raise ValueError(f"unknown pair label {pair!r}")
     return QUBIT_INDEX[pair[:2]], QUBIT_INDEX[pair[2:]]
-
-
-@dataclass(frozen=True)
-class InitialAmplitudes:
-    """Non-negative amplitudes of the initial atomic state
-    alpha |gg> + beta |ee>, with alpha^2 + beta^2 = 1."""
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.alpha) and np.isfinite(self.beta)):
-            raise ValueError("alpha and beta must be finite")
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be non-negative")
-        # an amplitude above 2 is far from normalized, and its square may overflow
-        if max(self.alpha, self.beta) > 2.0 or abs(self.alpha**2 + self.beta**2 - 1.0) > 1e-12:
-            raise ValueError("alpha^2 + beta^2 must equal 1")
-
-    @classmethod
-    def from_ratio(cls, ratio):
-        """Construct from the ratio beta / alpha."""
-        if ratio < 0:
-            raise ValueError("ratio must be non-negative")
-        # past 1e154 ratio^2 overflows, and 1 + ratio^2 rounds to ratio^2 well before
-        alpha = 1.0 / ratio if ratio > 1e154 else 1.0 / np.sqrt(1.0 + ratio**2)
-        return cls(alpha=alpha, beta=ratio * alpha)
 
 
 def single_chain_state(amps):
@@ -124,15 +86,6 @@ def rho_closed(pair, amps, init):
     rho[1, 1] = rho[2, 2] = b**2 * x2 * (1.0 - x2)
     rho[0, 0] = a**2 + b**2 * (1.0 - x2) ** 2
     return rho
-
-
-def lambda_minus(pair, x2, init):
-    """Negative partial-transpose eigenvalue beta x^2 (beta (1 - x^2) - alpha)
-    of the closed-form pair matrix; array-aware in x2."""
-    if pair not in DIAGONAL_PAIRS:
-        raise ValueError(f"no closed-form lambda for pair {pair!r}")
-    a, b = init.alpha, init.beta
-    return b * x2 * (b * (1.0 - x2) - a)
 
 
 def concurrence_closed(pair, amps, init):

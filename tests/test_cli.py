@@ -6,14 +6,14 @@ import stat
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import entransfer
 from entransfer.cli import COMMANDS, FIGURES, build_parser, main
-from entransfer.events import EventRecord
-from entransfer.jointstate import PAIR_LABELS
+from entransfer.events import PAIR_LABELS, EventRecord
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -65,21 +65,21 @@ class TestDeterminism:
         status, out = run(tmp_path, "figure", str(number), "--steps", "120")
         assert status == 0
         golden = os.path.join(GOLDEN_DIR, f"figure{number}.csv")
-        assert out.read_bytes() == open(golden, "rb").read()
+        assert out.read_bytes() == Path(golden).read_bytes()
 
     def test_phase_diagram_golden(self, tmp_path):
         status, out = run(tmp_path, "figure", "7",
                           "--gamma-steps", "6", "--ratio-steps", "7")
         assert status == 0
         golden = os.path.join(GOLDEN_DIR, "figure7.csv")
-        assert out.read_bytes() == open(golden, "rb").read()
+        assert out.read_bytes() == Path(golden).read_bytes()
 
     def test_events_golden(self, tmp_path):
         status, out = run(tmp_path, "events", "--ratio", "1.5", "--geff", "5",
                           "--t-max", "3")
         assert status == 0
         golden = os.path.join(GOLDEN_DIR, "events_strong.csv")
-        assert out.read_bytes() == open(golden, "rb").read()
+        assert out.read_bytes() == Path(golden).read_bytes()
 
 
 class TestJson:
@@ -295,7 +295,7 @@ class TestExitCodes:
         assert captured.out == "gamma,ratio,entangled,boundary\n1e-09,0.8,0,1\n1e-09,0.999,0,1\n"
         assert captured.err == ""
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_output_exit_3(self, capsys):
         # exact_squares overflows at kappa t = 3000 in the overdamped branch
         assert main(["amplitudes", "--geff", "0.01", "--t-max", "3000",
@@ -340,12 +340,17 @@ class TestMisc:
         assert float(t_start) == pytest.approx(0.1230959417, abs=1e-8)
         assert float(t_end) == pytest.approx(0.1910633236, abs=1e-8)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("command", [["events", "--pairs", "a1c2"], ["window"]])
-    def test_non_finite_amplitudes_exit_2(self, command, capsys):
+    # the overflow is reported by the error line alone, not by numpy warnings
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", [
         # cosh overflows and the damping underflows: NaN squares past t = 0
-        argv = command[:1] + ["--geff", "5", "--kappa", "1e150", "--t-max", "1"] + command[1:]
-        assert main(argv) == 2
+        ["events", "--geff", "5", "--kappa", "1e150", "--t-max", "1", "--pairs", "a1c2"],
+        ["window", "--geff", "5", "--kappa", "1e150", "--t-max", "1"],
+        # overdamped, the amplitudes overflow past kappa t ~ 2840
+        ["events", "--geff", "0.01", "--t-max", "3000"],
+    ])
+    def test_non_finite_amplitudes_exit_2(self, command, capsys):
+        assert main(command) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "not finite" in captured.err
 
@@ -371,11 +376,16 @@ class TestMisc:
         assert {row[1] for row in rows} == {"a1c2", "c1r2"}
 
     def test_cli_import_leaves_scipy_out(self):
-        # a fresh isolated interpreter: the test process itself has scipy loaded
+        # a fresh isolated interpreter: the test process itself has scipy and
+        # the reference route loaded
         src = os.path.dirname(os.path.dirname(entransfer.__file__))
         code = (f"import sys; sys.path.insert(0, {src!r}); import entransfer.cli; "
-                "assert 'scipy' not in sys.modules")
+                "loaded = {'scipy', 'entransfer.jointstate', 'entransfer.qops'} & set(sys.modules); "
+                "assert not loaded, loaded")
         subprocess.run([sys.executable, "-I", "-c", code], check=True, timeout=120)
+
+    def test_package_root_names_resolve(self):
+        assert all(hasattr(entransfer, name) for name in entransfer.__all__)
 
     def test_regimes(self, capsys):
         for regime in ("exact", "strong", "weak"):

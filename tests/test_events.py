@@ -412,6 +412,13 @@ class TestCavityPhase:
             cavity_entangled_intervals(0.01, 0.9999)
 
     @pytest.mark.filterwarnings("ignore:Delta is not large")
+    def test_entangled_intervals_past_memory_rejected_before_allocating(self):
+        # ~2.2e8 half periods to the last peak above 1 - ratio: 6.6e8 lattice
+        # points, 5.3 GB per float array before the sub-scans
+        with pytest.raises(ConfigError, match=r"scan of 2\.19886e\+08 half periods"):
+            cavity_entangled_intervals(1e7, 1.0 - 1e-15)
+
+    @pytest.mark.filterwarnings("ignore:Delta is not large")
     @settings(derandomize=True, max_examples=20, deadline=None)
     @given(gamma=log_uniform(0.05, 10.0), gap=log_uniform(1e-6, 0.5))
     def test_entangled_intervals_match_a_dense_scan(self, gamma, gap):
@@ -476,6 +483,14 @@ class TestDeadWindow:
     def test_absent_without_superposition(self):
         init = InitialAmplitudes(alpha=0.0, beta=1.0)
         assert dead_window(init, P_WEAK, 60.0) is None
+
+    @pytest.mark.filterwarnings("error")
+    def test_undamped_window_without_warnings(self):
+        # at kappa = 0 the peak of |G|^2 is pi / 2w, not a quotient by kappa
+        p = SystemParams.from_geff(5.0, kappa=0.0)
+        lo, hi = dead_window(InitialAmplitudes.from_ratio(3.0), p, 60.0)
+        assert lo == pytest.approx(0.1230959417, abs=1e-8)
+        assert hi == pytest.approx(0.1910633236, abs=1e-8)
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(gamma=log_uniform(0.05, 10.0), ratio=st.floats(2.01, 50.0),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from entransfer import qops
+from entransfer import events, jointstate, qops
 from entransfer.amplitudes import SystemParams, amplitudes_exact, exact_squares
 from entransfer.jointstate import (
     CROSS_PAIRS,
@@ -23,6 +23,12 @@ from entransfer.jointstate import (
 
 P_STRONG = SystemParams.from_geff(5.0)
 P_WEAK = SystemParams.from_geff(0.1)
+
+
+def test_model_definitions_are_the_events_objects():
+    # one owner: the reference route reads the runtime's definitions
+    for name in ("DIAGONAL_PAIRS", "InitialAmplitudes", "PAIR_LABELS", "lambda_minus"):
+        assert getattr(jointstate, name) is getattr(events, name)
 
 
 class TestInitialAmplitudes:
