@@ -13,6 +13,8 @@ Subcommands emit CSV or JSON data files (no plotting):
 
 Each subcommand and each preset takes only the flags its handler reads
 (``COMMANDS``, ``FIGURES``), plus ``--out``, ``--format`` and ``--config``.
+The subcommand and ``N`` are positionals of one argument parser, which is
+built only with the flags of the subcommand and preset that argv names.
 Every rate is in the unit of ``--kappa`` (1 by default) and every time in
 its inverse; ``--geff`` gives the coupling and ``--ratio`` (beta / alpha)
 the initial state alpha|gg> + beta|ee>.  Exit codes:
@@ -34,7 +36,8 @@ import numpy as np
 from .amplitudes import SystemParams, amplitudes_strong, amplitudes_weak, exact_squares
 from .errors import ConfigError, require_memory
 from .events import (DIAGONAL_PAIRS, InitialAmplitudes, PAIR_LABELS, _detection_cells,
-                     concurrence_series, dead_window, detect_events, lambda_minus, phase_diagram)
+                     _require_scan, concurrence_series, dead_window, detect_events,
+                     lambda_minus, phase_diagram)
 from . import oracle
 
 EXIT_OK = 0
@@ -159,40 +162,30 @@ COMMANDS = {
 }
 
 
-def _subparser(sub, name, defaults):
-    """Register subcommand or preset ``name`` with the flags in ``defaults``;
-    with ``defaults`` None it gets no flags and no --help, which is all that
-    help and "invalid choice" output read of it."""
-    if defaults is None:
-        return sub.add_parser(name, add_help=False)
-    sp = sub.add_parser(name, allow_abbrev=False)   # validate --g is not --geff
-    for dest in (*defaults, "out", "format", "config"):
-        sp.add_argument("--" + dest.replace("_", "-"), **FLAGS[dest])
-    sp.set_defaults(**defaults)
-    return sp
-
-
 def build_parser(argv):
-    """The parser of ``argv``: only the subcommand ``argv[0]`` names and, for
-    ``figure``, the preset ``argv[1]`` names get their flags; every other name
-    is registered empty, so a parse of ``argv`` (or of ``argv`` with flags
-    added after the preset) sees what a parser built in full would."""
-    command, number = (*argv[:2], None, None)[:2]
+    """One parser for ``argv``: the positional subcommand, the positional
+    preset ``N`` for ``figure``, and the flags of what ``argv`` names.  A name
+    that ``argv`` gives joins the prog and leaves the help; a missing or
+    invalid one is an error that lists every choice."""
+    # "--" ends the options; argparse drops it before the first positional
+    command, number = (*[a for a in argv[:3] if a != "--"][:2], None, None)[:2]
+    presets = {str(n): n for n in FIGURES}
+    known, preset = command in HANDLERS, command == "figure" and number in presets
+    defaults = FIGURES[presets[number]][1] if preset else COMMANDS.get(command)
     parser = argparse.ArgumentParser(
-        prog="entransfer",
-        description="Entanglement transfer through dissipative atom-cavity-"
-                    "reservoir chains: series, events and phase diagrams.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, defaults in COMMANDS.items():
-        _subparser(sub, name, defaults if name == command else None)
-    if command != "figure":
-        _subparser(sub, "figure", None)
-        return parser
-    presets = sub.add_parser("figure").add_subparsers(dest="number", metavar="N",
-                                                      required=True)
-    for n, (_, defaults) in FIGURES.items():
-        _subparser(presets, str(n), defaults if str(n) == number else None
-                   ).set_defaults(number=n)
+        prog=" ".join(["entransfer", *[command, number][:known + preset]]),
+        allow_abbrev=False,     # validate --g is not --geff
+        description=None if known else "Entanglement transfer through dissipative "
+                    "atom-cavity-reservoir chains: series, events and phase diagrams.")
+    parser.add_argument("command", choices=HANDLERS, help=argparse.SUPPRESS if known else None)
+    if command == "figure":
+        # a preset's number parses to its int; any other text fails the choices
+        parser.add_argument("number", metavar="N", type=lambda s: presets.get(s, s),
+                            choices=FIGURES, help=argparse.SUPPRESS if preset else None)
+    if defaults is not None:
+        for dest in (*defaults, "out", "format", "config"):
+            parser.add_argument("--" + dest.replace("_", "-"), **FLAGS[dest])
+        parser.set_defaults(**defaults)
     return parser
 
 
@@ -220,25 +213,11 @@ def _resolve_params(args):
     return SystemParams.from_geff(args.geff, kappa=args.kappa, Delta=args.delta_detuning)
 
 
-def _require_size(flags, nbytes):
-    """Reject, before any work, a run whose output or grid would not fit in
-    physical memory; ``flags`` maps each flag that sets its size to its value."""
-    require_memory(nbytes, " with ".join(f"--{k} {v:g}" for k, v in flags.items()))
-
-
 def _resolve_grid(args, n_columns):
     if args.t_max <= 0 or args.steps < 1:
         raise ConfigError("t_max must be positive and steps at least 1")
-    _require_size({"steps": args.steps}, (args.steps + 1.0) * n_columns * CELL_BYTES)
+    require_memory((args.steps + 1.0) * n_columns * CELL_BYTES, f"--steps {args.steps:g}")
     return np.linspace(0.0, args.t_max, args.steps + 1)
-
-
-def _require_detection_grid(args, p):
-    """Size check of the event-detection grids, naming --steps when it sets
-    their cell count, else --t-max."""
-    steps = getattr(args, "steps", None)
-    flag = f"--t-max {args.t_max:g}" if steps is None else f"--steps {steps:g}"
-    _detection_cells(p, args.t_max, steps, what=flag)
 
 
 def _resolve_pairs(args):
@@ -292,7 +271,9 @@ def cmd_events(args):
     p = _resolve_params(args)
     init = InitialAmplitudes.from_ratio(args.ratio)
     pairs = _resolve_pairs(args)
-    _require_detection_grid(args, p)
+    # the detection grids' size check, naming the flag that sets their cells
+    flag = f"--t-max {args.t_max:g}" if args.steps is None else f"--steps {args.steps:g}"
+    _detection_cells(p, args.t_max, args.steps, what=flag)
     found = [ev for pair in pairs
              for ev in detect_events(pair, init, p, args.t_max, n_points=args.steps)]
     data = ([ev.kind for ev in found], [ev.pair for ev in found],
@@ -304,7 +285,7 @@ def cmd_events(args):
 def cmd_window(args):
     p = _resolve_params(args)
     init = InitialAmplitudes.from_ratio(args.ratio)
-    _require_detection_grid(args, p)
+    _require_scan(p, args.t_max, f"--t-max {args.t_max:g}")
     win = dead_window(init, p, args.t_max)
     if win is None:
         data = ([0], [math.nan], [math.nan], [math.nan])
@@ -318,8 +299,8 @@ def cmd_phase_diagram(args):
     if not (0 < args.gamma_min <= args.gamma_max and args.gamma_steps > 0
             and 0 < args.ratio_min <= args.ratio_max < 1 and args.ratio_steps > 0):
         raise ConfigError("invalid phase-diagram grid ranges")
-    _require_size({"gamma-steps": args.gamma_steps, "ratio-steps": args.ratio_steps},
-                  4.0 * args.gamma_steps * args.ratio_steps * CELL_BYTES)
+    require_memory(4.0 * args.gamma_steps * args.ratio_steps * CELL_BYTES,
+                   f"--gamma-steps {args.gamma_steps:g} with --ratio-steps {args.ratio_steps:g}")
     diagram = phase_diagram(np.linspace(args.gamma_min, args.gamma_max, args.gamma_steps),
                             np.linspace(args.ratio_min, args.ratio_max, args.ratio_steps))
     n_gamma, n_ratio = diagram.entangled.shape
@@ -438,18 +419,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if args.config is not None:
-            # the file's keys go between the subcommand and the user's flags,
-            # so argparse types them and a flag on the command line wins
-            n = 2 if args.command == "figure" else 1
-            args = parser.parse_args(argv[:n] + _config_flags(args) + argv[n:])
+            # the file's keys go before the user's flags, so argparse types
+            # them and a flag on the command line wins
+            args = parser.parse_args(argv[:1] + _config_flags(args) + argv[1:])
         # a non-finite result is reported by its error line, not by numpy warnings
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             result = HANDLERS[args.command](args)
-        status = EXIT_OK
-        if len(result) == 4:
-            cfg, columns, data, status = result
-        else:
-            cfg, columns, data = result
+        cfg, columns, data, status = (*result, EXIT_OK)[:4]
         if args.command == "figure":
             cfg = dict(cfg, figure=args.number)
         # window writes NaN times for "no window"; elsewhere NaN is a fault

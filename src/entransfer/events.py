@@ -287,13 +287,22 @@ def _finite(values, horizon):
     return values
 
 
+def _require_scan(p, horizon, what=None):
+    """ValueError unless the horizon is positive and finite; ConfigError,
+    before allocating, if the scans of ``_intervals`` on [0, horizon] would
+    not fit in physical memory, naming them ``what``."""
+    if not (np.isfinite(horizon) and horizon > 0):
+        raise ValueError("horizon must be positive and finite")
+    n = horizon * p.omega_bar.real / np.pi + 2.0
+    require_memory(n * SCAN_STEP_BYTES,
+                   what or f"a scan of {n:g} half periods on horizon {horizon:g}")
+
+
 def _intervals(f, p, horizon, xtol):
     """Intervals of [0, horizon] on which f < 0, for an f monotone between
     neighbours of ``_lattice(p, horizon)``.  One array call narrows each
-    end's bracket to a sixteenth of its cell, and brentq refines it to xtol.
-    ConfigError, raised before allocating, marks scans past physical memory."""
-    n = horizon * p.omega_bar.real / np.pi + 2.0
-    require_memory(n * SCAN_STEP_BYTES, f"a scan of {n:g} half periods on horizon {horizon:g}")
+    end's bracket to a sixteenth of its cell, and brentq refines it to xtol;
+    the caller checks its size with ``_require_scan``."""
     ts = _lattice(p, horizon)
     neg = _finite(f(ts), horizon) < 0.0
     k = np.flatnonzero(neg[:-1] != neg[1:])
@@ -312,17 +321,24 @@ def cavity_boundary(gamma):
     |G_t|^2 = g_eff^2 |sin(w t) / w|^2 e^{-kappa t / 2} (w = omega_bar)
     takes its largest value at its first peak, ``_cavity_peak``.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not (np.isfinite(gamma) and gamma > 0):
+        raise ValueError("gamma must be positive and finite")
     p = SystemParams.from_geff(gamma)
     t_peak = _cavity_peak(p)
     return 1.0 if t_peak == np.inf else float(1.0 - exact_squares(t_peak, p)[1])
 
 
+def _check_ratios(ratios):
+    """Reject an alpha / beta outside (0, 1), NaN included."""
+    ratios = np.asarray(ratios, dtype=float)
+    if not np.all((0.0 < ratios) & (ratios < 1.0)):
+        raise ValueError("ratio alpha/beta must lie in (0, 1)")
+    return ratios
+
+
 def cavity_phase(gamma, ratio):
     """'entangled' if cavities entangle at some time for alpha/beta = ratio."""
-    if not 0.0 < ratio < 1.0:
-        raise ValueError("ratio alpha/beta must lie in (0, 1)")
+    _check_ratios(ratio)
     return "entangled" if ratio > cavity_boundary(gamma) else "unentangled"
 
 
@@ -335,13 +351,12 @@ def cavity_entangled_intervals(gamma, ratio):
     w = omega_bar), else to the first of 2t*, 4t*, ... where f >= 0 again.
     Non-finite amplitudes (kappa t ~ 2840 overdamped) raise ValueError, and
     a scan past physical memory ConfigError."""
-    if not 0.0 < ratio < 1.0:
-        raise ValueError("ratio alpha/beta must lie in (0, 1)")
+    _check_ratios(ratio)
+    if ratio <= cavity_boundary(gamma):     # f(t*) >= 0: never entangled
+        return []
     p = SystemParams.from_geff(gamma)
     f = lambda t: (1.0 - exact_squares(t, p)[1]) - ratio
     t_peak = _cavity_peak(p)
-    if t_peak == np.inf or f(t_peak) >= 0.0:
-        return []
     hi = 2.0 * t_peak
     with np.errstate(over="ignore", invalid="ignore"):
         if p.omega_bar.real > 0.0:
@@ -352,6 +367,7 @@ def cavity_entangled_intervals(gamma, ratio):
         # cosh and sinh overflow near kappa t ~ 2840: f turns -inf, then NaN
         while f(hi) < 0.0:
             hi *= 2.0
+        _require_scan(p, hi)
         return _intervals(f, p, hi, xtol=1e-10)
 
 
@@ -367,7 +383,7 @@ def phase_diagram(gammas, ratios):
     """Cavity entangled/unentangled verdicts on a (gamma, ratio) grid,
     using the exact-amplitude criterion throughout."""
     gammas = np.asarray(gammas, dtype=float)
-    ratios = np.asarray(ratios, dtype=float)
+    ratios = _check_ratios(ratios)
     if gammas.size == 0 or ratios.size == 0:
         raise ValueError("empty grid")
     boundary = np.array([cavity_boundary(g) for g in gammas])
@@ -386,7 +402,7 @@ def dead_window(init, p, horizon):
     six unentangled too.  The window is the earliest of the widest gaps
     (widths within 2e-8 tie) between the intervals where their margins are
     negative, whose ends ``_lattice`` brackets, refined to 1e-8."""
-    _detection_cells(p, horizon, None)    # validates the horizon
+    _require_scan(p, horizon)
     if init.alpha * init.beta == 0:
         return None
     covered = []

@@ -57,6 +57,11 @@ class TestSystemParams:
         with pytest.raises(ValueError, match="finite"):
             SystemParams.from_geff(np.nan)
 
+    @pytest.mark.parametrize("geff", [0.0, -5.0])
+    def test_from_geff_non_positive_rejected(self, geff):
+        with pytest.raises(ValueError, match="g_eff must be positive"):
+            SystemParams.from_geff(geff)
+
     def test_small_detuning_warns(self):
         # at the caller, not in the dataclass-generated __init__ ("<string>")
         # nor in from_geff

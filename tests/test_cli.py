@@ -1,7 +1,9 @@
 """CLI tests: determinism, golden files, serialization, exit codes."""
 
+import argparse
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -12,7 +14,9 @@ import numpy as np
 import pytest
 
 import entransfer
-from entransfer.cli import COMMANDS, FIGURES, build_parser, main
+from entransfer import cli, errors
+from entransfer.cli import COMMANDS, FIGURES, build_parser, emit, main
+from entransfer.errors import ConfigError
 from entransfer.events import PAIR_LABELS, EventRecord
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -118,6 +122,10 @@ class TestJson:
         assert data["columns"] == csv_rows[0]
         assert [[emitted(c) for c in row] for row in data["records"]] == csv_rows[1:]
 
+    def test_unknown_format_rejected(self):
+        with pytest.raises(ConfigError, match="unknown format 'xml'"):
+            emit({}, ("t",), [[0.0]], fmt="xml")
+
     def test_csv_and_json_agree(self, tmp_path):
         _, csv_out = run(tmp_path, "amplitudes", "--geff", "5",
                          "--t-max", "1", "--steps", "10")
@@ -151,6 +159,13 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"nope": 1}))
         assert main(["concurrence", "--config", str(cfg)]) == 2
         assert "nope" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", ["[1, 2]", '"geff"', "null"])
+    def test_non_object_rejected(self, tmp_path, capsys, content):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(content)
+        assert main(["concurrence", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: config file must hold a JSON object\n"
 
     def test_missing_file_rejected(self, tmp_path):
         assert main(["concurrence", "--config", str(tmp_path / "none.json")]) == 2
@@ -201,6 +216,17 @@ class TestExitCodes:
         # a same-chain pair has no finite-time crossings to detect
         assert main(["events", "--geff", "5", "--pairs", "a1c1"]) == 2
         assert "different chains" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["concurrence", "--geff", "5", "--pairs", " , "], "empty pair list"),
+        (["events", "--geff", "5", "--pairs", ","], "empty pair list"),
+        (["phase-diagram", "--ratio-max", "1"], "invalid phase-diagram grid ranges"),
+        (["figure", "7", "--gamma-min", "0.5", "--gamma-max", "0.1"],
+         "invalid phase-diagram grid ranges"),
+    ])
+    def test_config_error_named(self, argv, message, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_missing_coupling(self, capsys):
         assert main(["concurrence", "--ratio", "1.5"]) == 2
@@ -270,6 +296,15 @@ class TestExitCodes:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert flag in err and "GB" in err
+
+    @pytest.mark.parametrize("t_max, gb", [("12582", "0.0819"), ("40000", "0.26")])
+    def test_window_sized_from_its_scan(self, t_max, gb, monkeypatch, capsys):
+        # on a 64 MiB machine: at --t-max 12582 the detection grid that window
+        # never builds would fit (51 MB), its lattice scans (82 MB) would not
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 16384}
+        monkeypatch.setattr(errors.os, "sysconf", pages.__getitem__)
+        assert main(["window", "--geff", "5", "--ratio", "3", "--t-max", t_max]) == 2
+        assert capsys.readouterr().err.startswith(f"error: --t-max {t_max} needs about {gb} GB;")
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::UserWarning")
     @pytest.mark.parametrize("argv", [
@@ -423,6 +458,9 @@ class TestFlags:
         ["figure", "7", "--geff", "5"],
         ["figure", "5", "--pairs", "a1a2"],
         ["amplitudes", "--geff", "5", "--seed", "42"],
+        # no flag is abbreviated: allow_abbrev is off
+        ["events", "--geff", "5", "--rat", "3"],
+        ["figure", "3", "--st", "4"],
     ] + [pytest.param(argv + [flag, "0.6"], id=name + flag)
          for name, argv in CLOSED_FORM.items() for flag in REMOVED])
     def test_unread_flag_rejected(self, argv, capsys):
@@ -492,17 +530,58 @@ class TestParser:
         assert exc.value.code == 0
         assert "positional arguments:\n  N\n" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv, first", [
+        (["events", "--help"], "usage: entransfer events [-h] [--geff GEFF]"),
+        (["figure", "3", "--help"], "usage: entransfer figure 3 [-h] [--geff GEFF]"),
+        (["figure", "--help"], "usage: entransfer figure [-h] N"),
+    ])
+    def test_help_usage_names_the_command(self, argv, first, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(first)
+
     @pytest.mark.parametrize("argv, names", [
         (["figure", "11"], [str(n) for n in FIGURES]),
         (["bogus"], [*COMMANDS, "figure"]),
+        (["figure", "07"], [str(n) for n in FIGURES]),
     ])
     def test_invalid_choice_lists_every_name(self, argv, names, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "invalid choice" in err
-        assert all(repr(name) in err for name in names)
+        listed = re.search(r"invalid choice: .* \(choose from (.*)\)", err)
+        assert listed, err
+        # argparse quotes the names with repr on some versions and not on others
+        assert [name.strip("'") for name in listed.group(1).split(", ")] == names
+
+    @pytest.mark.parametrize("argv, missing", [([], "command"), (["figure"], "N")])
+    def test_missing_name_rejected(self, argv, missing, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"the following arguments are required: {missing}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["amplitudes"], ["figure", "10"], ["figure"], ["bogus"]])
+    def test_one_parser_per_call(self, argv, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *a, **k: built.append(init(self, *a, **k)))
+        build_parser(argv)
+        assert len(built) == 1
+
+    def test_double_dash_ends_the_options(self, capsys):
+        # argparse drops a "--" before a positional, so build_parser skips it too
+        want = vars(build_parser(["figure", "3"]).parse_args(["figure", "3"]))
+        for argv in (["figure", "--", "3"], ["--", "figure", "3"]):
+            assert vars(build_parser(argv).parse_args(argv)) == want
+        assert main(["--", "events"]) == 2      # every flag after "--" is a positional
+        assert capsys.readouterr().err == "error: specify --geff\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["--", "--", "events"])
+        assert exc.value.code == 2 and "invalid choice: '--'" in capsys.readouterr().err
 
     def test_figure_config_merged(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -556,6 +635,14 @@ class TestOut:
         assert main(self.ARGV + ["--out", str(path)]) == 0
         assert stat.S_IMODE(path.stat().st_mode) == 0o604
         assert path.read_text() == self.expected(tmp_path)
+
+    def test_failed_write_leaves_no_temporary_file(self, tmp_path, monkeypatch, capsys):
+        def fail(src, dst):
+            raise OSError("replace failed")
+        monkeypatch.setattr(cli.os, "replace", fail)
+        assert main(self.ARGV + ["--out", str(tmp_path / "out.csv")]) == 2
+        assert os.listdir(tmp_path) == []
+        assert capsys.readouterr().err == "error: replace failed\n"
 
     def test_fifo_written_in_place(self, tmp_path):
         fifo = tmp_path / "fifo"

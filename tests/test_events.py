@@ -57,6 +57,8 @@ class TestClosedFormTimes:
     def test_strong_esb_rejects_alpha_dominant(self):
         with pytest.raises(ValueError):
             esb_time_strong(InitialAmplitudes.from_ratio(0.5))
+        with pytest.raises(ValueError, match="never crosses"):
+            esb_time_strong(InitialAmplitudes(alpha=0.0, beta=1.0))
 
     def test_weak_times_beta_3alpha(self):
         init = InitialAmplitudes.from_ratio(3.0)
@@ -78,6 +80,8 @@ class TestClosedFormTimes:
                 weak_event_times(init, gamma=gamma)
         with pytest.raises(ValueError, match="alpha = 0"):
             weak_event_times(InitialAmplitudes(alpha=0.0, beta=1.0), gamma=0.1)
+        with pytest.raises(ValueError, match="beta > alpha"):
+            weak_event_times(InitialAmplitudes.from_ratio(1.0), gamma=0.1)
 
     def test_weak_times_scale_with_gamma(self):
         init = InitialAmplitudes.from_ratio(3.0)
@@ -326,6 +330,16 @@ class TestConcurrenceSeries:
         init = InitialAmplitudes.from_ratio(1.5)
         with pytest.raises(ValueError):
             concurrence_series("a1a2", init, P_STRONG, np.array([0.0, 0.0, 1.0]))
+        with pytest.raises(ValueError, match="empty time grid"):
+            concurrence_series("a1a2", init, P_STRONG, [])
+
+    def test_unknown_pair_rejected(self):
+        init = InitialAmplitudes.from_ratio(1.5)
+        with pytest.raises(ValueError, match="unknown pair label 'a1b9'"):
+            concurrence_series("a1b9", init, P_STRONG, [0.0, 1.0])
+        # lambda_minus is the closed form of the three diagonal pairs only
+        with pytest.raises(ValueError, match="no closed-form lambda for pair 'a1c2'"):
+            lambda_minus("a1c2", 0.5, init)
 
     @pytest.mark.parametrize("grid", [[0.0, np.nan], [0.0, np.inf], [np.nan], [np.inf]])
     def test_rejects_non_finite_grid(self, grid):
@@ -442,6 +456,27 @@ class TestCavityPhase:
         padded = np.concatenate(([-np.inf], ends, [np.inf]))
         near = np.minimum(ts - padded[i], padded[i + 1] - ts) <= step
         assert np.all(((f(ts) < 0.0) == (i % 2 == 1)) | near)
+
+    @pytest.mark.parametrize("ratio", [0.0, 1.0, 1.5, -0.5, np.nan, np.inf])
+    def test_ratio_outside_the_unit_interval_rejected(self, ratio):
+        # one check serves all three: NaN is no verdict, and 1.5 no alpha / beta
+        for call in (lambda: cavity_phase(0.1, ratio),
+                     lambda: cavity_entangled_intervals(0.1, ratio),
+                     lambda: phase_diagram([0.5], [0.9, ratio])):
+            with pytest.raises(ValueError, match=re.escape("must lie in (0, 1)")):
+                call()
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan, np.inf])
+    def test_gamma_rejected_by_name(self, gamma):
+        for call in (lambda: cavity_boundary(gamma), lambda: phase_diagram([gamma], [0.9]),
+                     lambda: cavity_entangled_intervals(gamma, 0.9)):
+            with pytest.raises(ValueError, match="gamma must be positive and finite"):
+                call()
+
+    def test_empty_phase_diagram_rejected(self):
+        for gammas, ratios in (([], [0.9]), ([0.5], [])):
+            with pytest.raises(ValueError, match="empty grid"):
+                phase_diagram(gammas, ratios)
 
     def test_phase_diagram_grid(self):
         gammas = np.array([0.05, 0.1, 0.3])
@@ -609,6 +644,16 @@ class TestBrentq:
         # inf or nan and bisects, Python raises ZeroDivisionError
         f = lambda t: (t - 0.7) ** 3 * 1e-200
         assert_scipy_roots([(f, 0.0, 1.0, 1e-12), (f, -5.0, 2.0, 1e-12)])
+
+    @pytest.mark.parametrize("f, xtol, match", [
+        (lambda t: np.nan, 1e-8, "is NaN; solver cannot continue"),
+        (lambda t: t - 0.5, 0.0, re.escape("xtol too small (0 <= 0)")),
+    ], ids=["nan", "xtol"])
+    def test_bad_input_rejected_as_scipy(self, f, xtol, match):
+        for find in (lambda: _roots.brentq(f, 0.0, 1.0, xtol),
+                     lambda: scipy_brentq(f, 0.0, 1.0, xtol=xtol)):
+            with pytest.raises(ValueError, match=match):
+                find()
 
     def test_same_sign_bracket_rejected(self):
         f = lambda t: t - 5.0
