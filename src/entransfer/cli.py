@@ -156,7 +156,7 @@ COMMANDS = {
     "window": dict(STATE, t_max=60.0),
     "phase-diagram": dict(gamma_min=0.05, gamma_max=1.0, gamma_steps=20,
                           ratio_min=0.80, ratio_max=0.999, ratio_steps=21),
-    # Delta = 1e4 kappa and bandwidth = 200 kappa when not given
+    # Delta = 1e4 and bandwidth = 200 times kappa (times 1 at kappa = 0)
     "validate": dict(geff=5.0, delta_detuning=None, kappa=1.0, t_max=10.0,
                      n_modes=2000, bandwidth=None, tol=0.02),
 }
@@ -312,10 +312,10 @@ def cmd_phase_diagram(args):
 
 
 def cmd_validate(args):
-    kappa = args.kappa
-    delta = 1e4 * kappa if args.delta_detuning is None else args.delta_detuning
-    bandwidth = 200.0 * kappa if args.bandwidth is None else args.bandwidth
-    p = SystemParams.from_geff(args.geff, kappa=kappa, Delta=delta)
+    unit = args.kappa if args.kappa > 0 else 1.0      # as in from_geff
+    delta = 1e4 * unit if args.delta_detuning is None else args.delta_detuning
+    bandwidth = 200.0 * unit if args.bandwidth is None else args.bandwidth
+    p = SystemParams.from_geff(args.geff, kappa=args.kappa, Delta=delta)
     d = oracle.ReservoirDiscretization(n_modes=args.n_modes, bandwidth=bandwidth)
     d.validate(p, args.t_max)
     amp_err, leak = oracle.discretized_errors(p, d, args.t_max)
@@ -429,8 +429,7 @@ def main(argv=None):
         if args.command == "figure":
             cfg = dict(cfg, figure=args.number)
         # window writes NaN times for "no window"; elsewhere NaN is a fault
-        check = status == EXIT_OK and args.command != "window"
-        bad = _first_non_finite(columns, data) if check else None
+        bad = _first_non_finite(columns, data) if args.command != "window" else None
         if bad is not None:
             row, name = bad
             print(f"error: non-finite {name} in data row {row + 1} "

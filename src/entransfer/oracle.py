@@ -16,7 +16,8 @@ Two independent oracles:
   0.0034 with N = 2000, 4000 and 20000 (the last two differ by 5e-10),
   and 0.0018 with B = 400; and
 * a fixed-step RK4 integration of the dissipative atom-cavity master
-  equation in the three-level x two-Fock truncated space.
+  equation on the four states the excitation reaches from |e0>:
+  |e0>, |c0>, |g1> and, once the photon leaks out, |g0>.
 
 Also provides the collective-mode chain of the reservoir: the normalized
 coupling-weighted one-excitation state and the orthogonal family
@@ -429,27 +430,20 @@ def collective_chain(d, depth):
 
 # --- Lindblad route ---------------------------------------------------------
 
-# basis index = 2 * atomic level + photon number, levels ordered (e, c, g)
-IDX_E0, IDX_E1, IDX_C0, IDX_C1, IDX_G0, IDX_G1 = range(6)
-
-
-def _atom_cavity_operators(p):
-    h = np.zeros((6, 6), dtype=complex)
-    h[IDX_C0, IDX_C0] = h[IDX_C1, IDX_C1] = p.Delta
-    h[IDX_E0, IDX_E0] = h[IDX_E1, IDX_E1] = -p.delta
-    h[IDX_C0, IDX_E0] = h[IDX_E0, IDX_C0] = p.Omega
-    h[IDX_C1, IDX_E1] = h[IDX_E1, IDX_C1] = p.Omega
-    # g (a |c><g| + a+ |g><c|) maps |g1> <-> |c0>
-    h[IDX_C0, IDX_G1] = h[IDX_G1, IDX_C0] = p.g
-    a = np.zeros((6, 6))
-    for level in range(3):
-        a[2 * level, 2 * level + 1] = 1.0
-    return h, a
+# the states the excitation reaches from |e0>: atomic level, photon number
+IDX_E0, IDX_C0, IDX_G1, IDX_G0 = range(4)
 
 
 def _liouvillian(p):
-    h, a = _atom_cavity_operators(p)
-    eye = np.eye(6)
+    h = np.zeros((4, 4))
+    h[IDX_E0, IDX_E0] = -p.delta
+    h[IDX_C0, IDX_C0] = p.Delta
+    h[IDX_C0, IDX_E0] = h[IDX_E0, IDX_C0] = p.Omega
+    # g (a |c><g| + a+ |g><c|) maps |g1> <-> |c0>
+    h[IDX_C0, IDX_G1] = h[IDX_G1, IDX_C0] = p.g
+    a = np.zeros((4, 4))
+    a[IDX_G0, IDX_G1] = 1.0              # the cavity photon leaks out
+    eye = np.eye(4)
     lv = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
     n_op = a.T @ a
     anti = np.kron(n_op, eye) + np.kron(eye, n_op.T)
@@ -460,26 +454,24 @@ def _liouvillian(p):
 def lindblad_evolve(p, grid):
     """RK4 integration of the dissipative atom-cavity master equation.
 
-    Starts from |e0><e0| and returns the 6x6 density matrices at each
-    grid time.  The internal step is 0.01 / max(kappa, |omega_bar|,
-    |Delta|); because the generator is linear and constant,
+    Starts from |e0><e0| and returns the 4x4 density matrices over IDX_*
+    at each grid time.  The internal step is 0.01 / max(kappa,
+    |omega_bar|, |Delta|); because the generator is linear and constant,
     the fixed-step RK4 update is the degree-4 Taylor polynomial of the
     exact propagator, applied once per substep.
     """
     grid = _check_grid(grid)
     step = 0.01 / max(p.kappa, abs(p.omega_bar), abs(p.Delta))
     lv = _liouvillian(p)
-    one = np.eye(36, dtype=complex)
-    term = one.copy()
-    rk4 = one.copy()
+    term = rk4 = np.eye(16, dtype=complex)
     for k in (1, 2, 3, 4):
         term = term @ (step * lv) / k
         rk4 = rk4 + term
 
-    rho = np.zeros((6, 6), dtype=complex)
+    rho = np.zeros((4, 4), dtype=complex)
     rho[IDX_E0, IDX_E0] = 1.0
-    v = rho.reshape(36)
-    out = np.empty((grid.size, 6, 6), dtype=complex)
+    v = rho.reshape(16)
+    out = np.empty((grid.size, 4, 4), dtype=complex)
     t_now = 0.0
     prop_cache = {}
     for i, t in enumerate(grid):
@@ -489,7 +481,7 @@ def lindblad_evolve(p, grid):
                 prop_cache[n_sub] = np.linalg.matrix_power(rk4, n_sub)
             v = prop_cache[n_sub] @ v
             t_now += n_sub * step
-        out[i] = v.reshape(6, 6)
+        out[i] = v.reshape(4, 4)
     return out
 
 

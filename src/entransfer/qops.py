@@ -1,9 +1,10 @@
 """Dense complex-matrix kernel for small quantum systems.
 
 Density-matrix validation, partial trace / partial transpose over tensor
-factors, and the two-qubit entanglement measures used everywhere else in
-the package: Wootters concurrence, the negativity-based concurrence for
-X-form states, and the pure-state I-concurrence.
+factors, and the two-qubit entanglement measures of the reference route
+in :mod:`entransfer.jointstate`: Wootters concurrence, the
+negativity-based concurrence for X-form states, and the pure-state
+I-concurrence.  No runtime module imports it.
 
 All functions are pure; none of them mutates its arguments.
 """

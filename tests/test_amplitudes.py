@@ -178,6 +178,18 @@ class TestExactAmplitudes:
         r2 = exact_squares(np.unique(ts), params_geff(g_eff, Delta=1e5))[2]
         assert np.all(np.diff(r2) >= 0.0)
 
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(log_geff=st.floats(np.log(0.01), np.log(20.0)),
+           kappa=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+           critical=st.booleans(),
+           ts=st.lists(st.floats(0.0, 60.0), min_size=1, max_size=400))
+    def test_squares_sum_to_at_most_one(self, log_geff, kappa, critical, ts):
+        # _squares clips R^2 = 1 - (|E|^2 + |G|^2) at 0, so it hides no more
+        # than this excess; critical draws sit at gamma = 1/4
+        g_eff = kappa / 4.0 if critical and kappa else np.exp(log_geff)
+        e2, g2, _ = exact_squares(np.array(ts), params_geff(g_eff, kappa, Delta=1e5))
+        assert np.max(e2 + g2) - 1.0 <= 1e-12
+
     def test_decay_only_limit(self):
         # deep overdamping: the excitation decays at rate 4 gamma^2 kappa
         p = params_geff(0.01)

@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -338,6 +339,25 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "non-finite E2 in data row 4 (t = 3000.0)" in captured.err
+        # the RK4 propagator overflows at g = 1e17: a run that already fails
+        # its tolerance writes no NaN either
+        with warnings.catch_warnings():
+            warnings.filterwarnings("default", "Delta is not large", UserWarning)
+            warnings.filterwarnings("default", "bandwidth 200 <", UserWarning)
+            assert main(["validate", "--geff", "1e30"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite lindblad_error in data row 1" in captured.err
+
+    def test_validate_kappa_0_defaults(self, tmp_path):
+        # Delta and the bandwidth default to 1e4 and 200 in the unit 1, not
+        # to 0; undamped, the closed forms drift past the tolerance by t = 10
+        status, out = run(tmp_path, "validate", "--kappa", "0", "--format", "json")
+        assert status == 3
+        data = json.loads(out.read_text())
+        assert data["config"]["Delta"] == 1e4 and data["config"]["bandwidth"] == 200.0
+        (row,) = data["records"]
+        assert all(np.isfinite(row)) and row[-1] == 0
 
 
 class TestMisc:

@@ -374,7 +374,7 @@ class TestLindblad:
 
     def test_initial_state(self):
         rho = lindblad_evolve(self.P, np.array([0.0]))[0]
-        expect = np.zeros((6, 6))
+        expect = np.zeros((4, 4))
         expect[IDX_E0, IDX_E0] = 1.0
         assert np.allclose(rho, expect)
 
