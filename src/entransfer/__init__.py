@@ -36,12 +36,8 @@ from .events import (
     weak_event_times,
 )
 from .oracle import (
-    CollectiveChain,
     ReservoirDiscretization,
-    build_hamiltonian,
-    collective_chain,
     discretized_errors,
-    evolve,
     lindblad_evolve,
     lindblad_max_error,
 )
@@ -56,7 +52,6 @@ __all__ = [
     "concurrence_series", "dead_window", "detect_events", "esb_time_strong",
     "phase_diagram", "weak_event_times",
     "DIAGONAL_PAIRS", "InitialAmplitudes", "PAIR_LABELS", "lambda_minus",
-    "CollectiveChain", "ReservoirDiscretization", "build_hamiltonian",
-    "collective_chain", "discretized_errors", "evolve", "lindblad_evolve",
+    "ReservoirDiscretization", "discretized_errors", "lindblad_evolve",
     "lindblad_max_error",
 ]

@@ -146,15 +146,20 @@ def _check_grid(grid):
     return grid
 
 
-def _squares(e, g):
+def _squares(e, g, decays):
     """(|E|^2, |G|^2, R^2) of the amplitudes e, g; a scalar gives the bits
     of the same value in an array.  np.square, not ** 2: a numpy scalar
     squares by pow(), which misrounds about one square in a thousand that
     an array squares exactly.  R^2 = 1 - (|E|^2 + |G|^2), clipped at 0,
     rounds the non-increasing sum once, so it never decreases; 1 - |E|^2 -
-    |G|^2 fell by an ulp at about 4 points in 10^4 once R^2 neared 1."""
+    |G|^2 fell by an ulp at about 4 points in 10^4 once R^2 neared 1.
+    Without decay (``decays`` false, kappa = 0) R^2 is exactly 0: 1 - the
+    sum is then rounding noise of up to 2e-16, which reads as a live
+    reservoir."""
     e2 = np.square(np.abs(e))
     g2 = np.square(np.abs(g))
+    if not decays:
+        return e2, g2, np.zeros_like(e2)
     return e2, g2, np.clip(1.0 - (e2 + g2), 0.0, None)
 
 
@@ -180,7 +185,7 @@ def amplitudes_exact(t, p):
     complex omega_bar; magnitudes stay real either way.
     """
     e, g = _eg(t, p)
-    r = np.sqrt(_squares(e, g)[2])
+    r = np.sqrt(_squares(e, g, p.kappa > 0)[2])
     if np.ndim(e) == 0:
         return AmplitudeTriple(E=complex(e), G=complex(g), R=float(r))
     return AmplitudeTriple(E=e, G=g, R=r)
@@ -189,7 +194,7 @@ def amplitudes_exact(t, p):
 def exact_squares(t, p):
     """(|E|^2, |G|^2, R^2) from the exact amplitudes; array-aware, and a
     scalar t gives the bits of the same t in an array."""
-    return _squares(*_eg(t, p))
+    return _squares(*_eg(t, p), p.kappa > 0)
 
 
 def amplitudes_strong(t, p):

@@ -312,6 +312,8 @@ def cmd_phase_diagram(args):
 
 
 def cmd_validate(args):
+    if args.t_max <= 0:
+        raise ConfigError("--t-max must be positive")
     unit = args.kappa if args.kappa > 0 else 1.0      # as in from_geff
     delta = 1e4 * unit if args.delta_detuning is None else args.delta_detuning
     bandwidth = 200.0 * unit if args.bandwidth is None else args.bandwidth

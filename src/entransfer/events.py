@@ -190,8 +190,9 @@ def detect_events(pair, init, p, horizon, n_points=None):
         grid = np.union1d(grid, _lattice(p, horizon))
     squares = _finite(exact_squares(grid, p), horizon)
     g, (margin, live) = _cross_pair(pair, init, squares), _cross_margin(pair, init, squares)
-    # C(0) = 0 for all pairs but a1a2; the margin at t = 0 is the sign just after
-    born, live[0] = not live[0], init.beta > 0.0
+    # C(0) = 0 for all pairs but a1a2; the margin at t = 0 is the sign just
+    # after, so a pair is born at 0 only if it is live at a later point
+    born, live[0] = not live[0] and live[1:].any(), init.beta > 0.0
     live = np.flatnonzero(live)
     entangled = margin[live] < 0.0
     g_at = lambda t: _cross_pair(pair, init, exact_squares(t, p))

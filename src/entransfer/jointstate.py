@@ -1,5 +1,10 @@
 """Reference route: the two-chain joint state, reduced density matrices
-and Wootters concurrences, and the paper's printed closed forms.
+and Wootters concurrences, and the paper's printed closed forms; the
+dense Hamiltonian and its exact evolution, which check the secular solve
+of :mod:`entransfer.oracle`; and the collective-mode chain of the
+reservoir, the coupling-weighted one-excitation state and the orthogonal
+family generated from it by the reservoir free energy (a Lanczos
+three-term recurrence that tridiagonalizes the frequency operator).
 
 Neither the CLI nor the package root imports this module; it checks the
 closed forms of :mod:`entransfer.events`, which owns the model's definitions
@@ -10,6 +15,8 @@ collective 0/1 excitation); bit value 1 marks the excited local state.
 Qubit order is (a1, c1, r1, a2, c2, r2) with big-endian indexing, so the
 joint pure state lives in dimension 64.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,7 +71,9 @@ def _pair_amplitude(pair, amps):
     if pair not in DIAGONAL_PAIRS:
         raise ValueError(f"no closed form for pair {pair!r}")
     k = DIAGONAL_PAIRS.index(pair)
-    return complex((amps.E, amps.G, amps.R)[k]), float(_squares(amps.E, amps.G)[k])
+    # R is 0 exactly where R^2 is, at every t without decay
+    x2 = _squares(amps.E, amps.G, amps.R > 0.0)[k]
+    return complex((amps.E, amps.G, amps.R)[k]), float(x2)
 
 
 def rho_closed(pair, amps, init):
@@ -130,3 +139,100 @@ def global_tangle(t, init, p):
     interact.
     """
     return qops.i_concurrence(joint_state(t, init, p), (8, 8))
+
+
+# --- dense reference of the discretized-reservoir oracle ------------------
+
+def build_hamiltonian(p, d):
+    """Single-excitation Hamiltonian over the basis
+    {|e00>, |c00>, |g10>, |g0 1_k>} of dimension 3 + N; every entry is
+    real.  The dense reference for ``oracle.spectrum`` at small N."""
+    n = d.n_modes
+    dim = 3 + n
+    h = np.zeros((dim, dim))
+    h[0, 0] = -p.delta
+    h[1, 1] = p.Delta
+    h[0, 1] = h[1, 0] = p.Omega
+    h[1, 2] = h[2, 1] = p.g
+    if n:
+        idx = np.arange(3, dim)
+        h[idx, idx] = d.offsets          # -(omega - omega_k)
+        h[2, 3:] = h[3:, 2] = np.sqrt(p.kappa * d.spacing / (2.0 * np.pi))
+    return h
+
+
+def evolve(h, psi0, times):
+    """psi(t) = exp(-i H t) psi0 for every t in ``times``.
+
+    Diagonalizes once; exact at machine precision for arbitrary t.
+    Returns an array of shape (len(times), dim) (or (dim,) for scalar t).
+    """
+    h = np.asarray(h)
+    if np.max(np.abs(h - h.conj().T)) > 1e-10:
+        raise ValueError("Hamiltonian is not Hermitian")
+    w, v = np.linalg.eigh(h)
+    c = v.conj().T @ np.asarray(psi0, dtype=complex)
+    scalar = np.ndim(times) == 0
+    ts = np.atleast_1d(np.asarray(times, dtype=float))
+    out = (v @ (np.exp(-1j * np.outer(w, ts)) * c[:, None])).T
+    return out[0] if scalar else out
+
+
+# --- collective reservoir chain ---------------------------------------------
+
+@dataclass(frozen=True)
+class CollectiveChain:
+    """Orthonormal collective reservoir vectors and the tridiagonal
+    couplings produced by iterating the frequency operator."""
+
+    vectors: np.ndarray       # shape (depth, n_modes)
+    alphas: np.ndarray        # diagonal recurrence coefficients
+    betas: np.ndarray         # off-diagonal couplings, length depth-1
+    requested_depth: int
+
+    @property
+    def depth(self):
+        return self.vectors.shape[0]
+
+    @property
+    def truncated(self):
+        return self.depth < self.requested_depth
+
+
+# residual norm below which the collective chain stops early
+CHAIN_BREAKDOWN_TOL = 1e-13
+
+
+def collective_chain(d, depth):
+    """Orthogonal one-excitation reservoir states reachable from the
+    coupling-weighted mode |1bar_0> under the free bath evolution.
+
+    Vector 0 is g_k / sqrt(sum |g_k|^2), uniform since every mode couples
+    equally, whatever kappa; each following vector is the
+    image under diag(omega - omega_k) orthogonalized against everything
+    before (with full reorthogonalization for numerical safety).  Stops
+    early, flagging truncation, if the residual norm drops below
+    CHAIN_BREAKDOWN_TOL.
+    """
+    n = d.n_modes
+    if depth > n:
+        raise ValueError(f"depth {depth} exceeds mode count {n}")
+    freq = -d.offsets            # omega - omega_k
+    vecs = [np.ones(n) / np.sqrt(n)]
+    alphas, betas = [], []
+    for _ in range(1, depth):
+        w = freq * vecs[-1]
+        alphas.append(float(vecs[-1] @ w))
+        for u in vecs:           # full reorthogonalization
+            w -= (u @ w) * u
+        for u in vecs:
+            w -= (u @ w) * u
+        nrm = np.linalg.norm(w)
+        if nrm < CHAIN_BREAKDOWN_TOL:
+            break
+        betas.append(float(nrm))
+        vecs.append(w / nrm)
+    if len(vecs) == depth:
+        alphas.append(float(vecs[-1] @ (freq * vecs[-1])))
+    return CollectiveChain(vectors=np.array(vecs), alphas=np.array(alphas),
+                           betas=np.array(betas), requested_depth=depth)

@@ -1,6 +1,5 @@
-"""Brute-force validation routes for the closed-form amplitudes.
-
-Two independent oracles:
+"""Brute-force validation routes for the closed-form amplitudes: the two
+oracles that ``entransfer validate`` runs.
 
 * exact unitary evolution of the full atom-cavity-reservoir Hamiltonian
   with an explicitly discretized reservoir (flat spectral density,
@@ -8,7 +7,8 @@ Two independent oracles:
   solved from the secular equation of this "picket-fence" model (Bixon
   and Jortner, J. Chem. Phys. 48, 715 (1968)), whose mode sums have
   digamma closed forms, in O(N) time and memory per iteration and a few
-  iterations; the dense eigendecomposition stays as the test reference.
+  iterations; the dense eigendecomposition that checks it lives in the
+  reference route, :mod:`entransfer.jointstate`.
   Its error against the closed forms has two terms that partly cancel:
   the dropped intermediate level (~4 g_eff / Delta) and the finite
   bandwidth B.  Once the recurrence time exceeds the horizon the mode
@@ -18,11 +18,6 @@ Two independent oracles:
 * a fixed-step RK4 integration of the dissipative atom-cavity master
   equation on the four states the excitation reaches from |e0>:
   |e0>, |c0>, |g1> and, once the photon leaks out, |g0>.
-
-Also provides the collective-mode chain of the reservoir: the normalized
-coupling-weighted one-excitation state and the orthogonal family
-generated from it by the reservoir free energy (a Lanczos three-term
-recurrence that tridiagonalizes the frequency operator).
 """
 
 import math
@@ -85,41 +80,6 @@ class ReservoirDiscretization:
         return not problems
 
 
-def build_hamiltonian(p, d):
-    """Single-excitation Hamiltonian over the basis
-    {|e00>, |c00>, |g10>, |g0 1_k>} of dimension 3 + N; every entry is
-    real.  The dense reference for the secular solve at small N."""
-    n = d.n_modes
-    dim = 3 + n
-    h = np.zeros((dim, dim))
-    h[0, 0] = -p.delta
-    h[1, 1] = p.Delta
-    h[0, 1] = h[1, 0] = p.Omega
-    h[1, 2] = h[2, 1] = p.g
-    if n:
-        idx = np.arange(3, dim)
-        h[idx, idx] = d.offsets          # -(omega - omega_k)
-        h[2, 3:] = h[3:, 2] = np.sqrt(p.kappa * d.spacing / (2.0 * np.pi))
-    return h
-
-
-def evolve(h, psi0, times):
-    """psi(t) = exp(-i H t) psi0 for every t in ``times``.
-
-    Diagonalizes once; exact at machine precision for arbitrary t.
-    Returns an array of shape (len(times), dim) (or (dim,) for scalar t).
-    """
-    h = np.asarray(h)
-    if np.max(np.abs(h - h.conj().T)) > 1e-10:
-        raise ValueError("Hamiltonian is not Hermitian")
-    w, v = np.linalg.eigh(h)
-    c = v.conj().T @ np.asarray(psi0, dtype=complex)
-    scalar = np.ndim(times) == 0
-    ts = np.atleast_1d(np.asarray(times, dtype=float))
-    out = (v @ (np.exp(-1j * np.outer(w, ts)) * c[:, None])).T
-    return out[0] if scalar else out
-
-
 # --- secular solve of the picket-fence reservoir ------------------------------
 
 def _root_pair(mean, radius, product):
@@ -170,9 +130,11 @@ def _mode_sums(u, n):
 
 
 def spectrum(p, d):
-    """Eigenvalues of ``build_hamiltonian(p, d)`` and the |e00>, |c00> and
-    |g10> components of their normalized eigenvectors (shape (3, N + 3)),
-    in ascending order of eigenvalue.
+    """Eigenvalues of the real single-excitation Hamiltonian over
+    {|e00>, |c00>, |g10>, |g0 1_k>} (``jointstate.build_hamiltonian(p, d)``,
+    of dimension N + 3) and the |e00>, |c00> and |g10> components of their
+    normalized eigenvectors (shape (3, N + 3)), in ascending order of
+    eigenvalue.
 
     The (e, c) block [[-delta, Omega], [Omega, Delta]] has eigenvalues h+-
     with eigenvectors (u_e, u_c), u_c^2 = a+-.  With v_g = 1 an eigenvector
@@ -370,64 +332,6 @@ def populations(p, d, times):
     return np.column_stack([head, 1.0 - head.sum(axis=1)])
 
 
-@dataclass(frozen=True)
-class CollectiveChain:
-    """Orthonormal collective reservoir vectors and the tridiagonal
-    couplings produced by iterating the frequency operator."""
-
-    vectors: np.ndarray       # shape (depth, n_modes)
-    alphas: np.ndarray        # diagonal recurrence coefficients
-    betas: np.ndarray         # off-diagonal couplings, length depth-1
-    requested_depth: int
-
-    @property
-    def depth(self):
-        return self.vectors.shape[0]
-
-    @property
-    def truncated(self):
-        return self.depth < self.requested_depth
-
-
-# residual norm below which the collective chain stops early
-CHAIN_BREAKDOWN_TOL = 1e-13
-
-
-def collective_chain(d, depth):
-    """Orthogonal one-excitation reservoir states reachable from the
-    coupling-weighted mode |1bar_0> under the free bath evolution.
-
-    Vector 0 is g_k / sqrt(sum |g_k|^2), uniform since every mode couples
-    equally, whatever kappa; each following vector is the
-    image under diag(omega - omega_k) orthogonalized against everything
-    before (with full reorthogonalization for numerical safety).  Stops
-    early, flagging truncation, if the residual norm drops below
-    CHAIN_BREAKDOWN_TOL.
-    """
-    n = d.n_modes
-    if depth > n:
-        raise ValueError(f"depth {depth} exceeds mode count {n}")
-    freq = -d.offsets            # omega - omega_k
-    vecs = [np.ones(n) / np.sqrt(n)]
-    alphas, betas = [], []
-    for _ in range(1, depth):
-        w = freq * vecs[-1]
-        alphas.append(float(vecs[-1] @ w))
-        for u in vecs:           # full reorthogonalization
-            w -= (u @ w) * u
-        for u in vecs:
-            w -= (u @ w) * u
-        nrm = np.linalg.norm(w)
-        if nrm < CHAIN_BREAKDOWN_TOL:
-            break
-        betas.append(float(nrm))
-        vecs.append(w / nrm)
-    if len(vecs) == depth:
-        alphas.append(float(vecs[-1] @ (freq * vecs[-1])))
-    return CollectiveChain(vectors=np.array(vecs), alphas=np.array(alphas),
-                           betas=np.array(betas), requested_depth=depth)
-
-
 # --- Lindblad route ---------------------------------------------------------
 
 # the states the excitation reaches from |e0>: atomic level, photon number
@@ -490,7 +394,7 @@ def lindblad_max_error(p, grid):
     {|e0>, |g1>, |g0>} from the closed-form single-chain matrix."""
     rhos = lindblad_evolve(p, grid)
     amps = amplitudes_exact(np.asarray(grid, dtype=float), p)
-    e2, g2, r2 = _squares(amps.E, amps.G)
+    e2, g2, r2 = _squares(amps.E, amps.G, p.kappa > 0)
     return float(max(
         np.max(np.abs(rhos[:, IDX_E0, IDX_E0].real - e2)),
         np.max(np.abs(rhos[:, IDX_G1, IDX_G1].real - g2)),

@@ -32,6 +32,7 @@ from entransfer.jointstate import (
     CROSS_PAIRS,
     DIAGONAL_PAIRS,
     InitialAmplitudes,
+    collective_chain,
     concurrence_closed,
     cross_concurrence_closed,
     global_tangle,
@@ -42,7 +43,6 @@ from entransfer.jointstate import (
 )
 from entransfer.oracle import (
     ReservoirDiscretization,
-    collective_chain,
     discretized_errors,
     lindblad_max_error,
 )

@@ -108,6 +108,14 @@ class TestExactAmplitudes:
         assert abs(abs(a.G) - 1.0) < 1e-12
         assert a.R < 1e-6
 
+    def test_no_reservoir_without_decay(self):
+        # 1 - (|E|^2 + |G|^2) is rounding noise there, not a reservoir
+        p = SystemParams.from_geff(5.0, kappa=0.0)
+        ts = np.linspace(0.0, 5.0, 501)
+        assert np.all(exact_squares(ts, p)[2] == 0.0)
+        assert np.all(amplitudes_exact(ts, p).R == 0.0)
+        assert amplitudes_exact(0.3, p).R == 0.0
+
     def test_normalization(self):
         for geff in (0.05, 0.1, 0.25, 1.0, 5.0):
             p = params_geff(geff)

@@ -224,6 +224,8 @@ class TestExitCodes:
         (["phase-diagram", "--ratio-max", "1"], "invalid phase-diagram grid ranges"),
         (["figure", "7", "--gamma-min", "0.5", "--gamma-max", "0.1"],
          "invalid phase-diagram grid ranges"),
+        (["validate", "--t-max", "0"], "--t-max must be positive"),
+        (["validate", "--t-max", "-1"], "--t-max must be positive"),
     ])
     def test_config_error_named(self, argv, message, capsys):
         assert main(argv) == 2
@@ -415,6 +417,13 @@ class TestMisc:
         assert capsys.readouterr().out.split()[1:] == ["ESD,a1a2,0"]
         assert main(["window", "--geff", "5", "--ratio", "1e200", "--t-max", "3"]) == 0
         assert capsys.readouterr().out.split()[1] == "1,0,3,3"
+
+    def test_no_reservoir_events_without_decay(self, capsys):
+        # R = 0 at kappa = 0: no pair with a reservoir is ever entangled, so
+        # none is born at t = 0
+        assert main(["events", "--geff", "5", "--kappa", "0", "--ratio", "0.5",
+                     "--t-max", "5", "--pairs", "r1r2,a1r2,c1r2"]) == 0
+        assert capsys.readouterr().out == "kind,pair,time\n"
 
     @pytest.mark.parametrize("ratio", ["1", "0.5"])
     def test_no_false_events_far_out(self, ratio, capsys):

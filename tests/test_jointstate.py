@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from entransfer import events, jointstate, qops
+import entransfer
+from entransfer import events, jointstate, oracle, qops
 from entransfer.amplitudes import SystemParams, amplitudes_exact, exact_squares
 from entransfer.jointstate import (
     CROSS_PAIRS,
@@ -29,6 +30,14 @@ def test_model_definitions_are_the_events_objects():
     # one owner: the reference route reads the runtime's definitions
     for name in ("DIAGONAL_PAIRS", "InitialAmplitudes", "PAIR_LABELS", "lambda_minus"):
         assert getattr(jointstate, name) is getattr(events, name)
+
+
+def test_reference_route_is_not_runtime_api():
+    # the dense oracle reference and the collective chain belong to the
+    # reference route alone: neither the runtime oracle nor the root has them
+    for name in ("build_hamiltonian", "evolve", "CollectiveChain", "collective_chain"):
+        assert getattr(jointstate, name).__module__ == "entransfer.jointstate"
+        assert name not in vars(oracle) and name not in entransfer.__all__
 
 
 class TestInitialAmplitudes:
@@ -101,6 +110,12 @@ class TestClosedFormMatrices:
             brute = reduced_pair(joint_state(t, init, P_STRONG), pair)
             assert np.max(np.abs(direct - brute)) < 1e-12
 
+    def test_no_reservoir_concurrence_without_decay(self):
+        p = SystemParams.from_geff(5.0, kappa=0.0)
+        init = InitialAmplitudes.from_ratio(0.5)
+        for t in np.linspace(0.0, 5.0, 201):
+            assert concurrence_closed("r1r2", amplitudes_exact(t, p), init) == 0.0
+
     def test_lambda_is_partial_transpose_eigenvalue(self):
         init = InitialAmplitudes.from_ratio(1.5)
         for t in (0.2, 0.8, 1.4):
@@ -148,6 +163,15 @@ class TestPairConcurrence:
     def test_unknown_pair(self):
         with pytest.raises(ValueError):
             pair_qubits("a1b2")
+
+    @pytest.mark.parametrize("fn, args, match", [
+        (reduced_pair, (np.zeros(8), "a1a2"), "dimension 64"),
+        (rho_closed, ("a1c2", amplitudes_exact(0.3, P_STRONG),
+                      InitialAmplitudes.from_ratio(1.5)), "no closed form"),
+    ])
+    def test_rejects_malformed_input(self, fn, args, match):
+        with pytest.raises(ValueError, match=match):
+            fn(*args)
 
 
 class TestCrossConcurrence:

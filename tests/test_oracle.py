@@ -9,15 +9,13 @@ from scipy.linalg import expm
 
 from entransfer.amplitudes import SystemParams, exact_squares
 from entransfer.errors import ConfigError
+from entransfer.jointstate import build_hamiltonian, collective_chain, evolve
 from entransfer.oracle import (
     IDX_E0,
     IDX_G0,
     IDX_G1,
     ReservoirDiscretization,
-    build_hamiltonian,
-    collective_chain,
     discretized_errors,
-    evolve,
     _mode_sums,
     lindblad_evolve,
     lindblad_max_error,

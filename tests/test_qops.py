@@ -171,3 +171,17 @@ class TestValidateDensityMatrix:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             qops.validate_density_matrix(np.diag([1.5, -0.5]))
+
+
+@pytest.mark.parametrize("fn, args, match", [
+    (qops.partial_trace, (np.ones((4, 2)), (2, 2), 0), "square matrix"),
+    (qops.validate_density_matrix, (np.full((2, 2), np.nan),), "non-finite"),
+    (qops.wootters_concurrence, (np.eye(2) / 2.0,), "expected dimension 4"),
+    (qops.partial_trace, (np.eye(4) / 4.0, (2, 3), 0), "inconsistent"),
+    (qops.partial_transpose, (np.eye(4) / 4.0, (2, 3), 0), "inconsistent"),
+    (qops.partial_transpose, (np.eye(4) / 4.0, (2, 2), 2), "subsystem must be"),
+    (qops.i_concurrence, (bell_state(), (2, 3)), "inconsistent"),
+])
+def test_rejects_malformed_input(fn, args, match):
+    with pytest.raises(ValueError, match=match):
+        fn(*args)
