@@ -106,11 +106,19 @@ class SystemParams:
         g_eff = 5 kappa the explicit-reservoir oracle differs by 0.070 at
         Delta = 500 kappa and by 0.0034 at Delta = 1e4 kappa, the
         ``validate`` default.
+
+        A defaulted Delta is never warned about, though it is not large
+        against g = Omega once g_eff > 5 kappa: the closed forms read the
+        chain only through g_eff and kappa, so a Delta the caller did not
+        choose says nothing about them.  An explicit Delta warns as direct
+        construction does, at the caller's line.
         """
         if g_eff <= 0:
             raise ValueError("g_eff must be positive")
         if Delta is None:
-            Delta = 500.0 * (kappa if kappa > 0 else 1.0)
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "Delta is not large", UserWarning)
+                return cls.from_geff(g_eff, kappa, 500.0 * (kappa if kappa > 0 else 1.0))
         g = np.sqrt(g_eff * Delta)
         return cls(g=g, Omega=g, Delta=Delta, kappa=kappa)
 

@@ -143,8 +143,9 @@ FLAGS = {
 }
 
 # the flags of _resolve_params, and those plus the initial state; None marks
-# a value that is required (geff) or has a default derived from the others
-CHAIN = dict(geff=None, delta_detuning=None, kappa=1.0)
+# a value that is required (geff) or has a default derived from the others.
+# The closed forms read only g_eff and kappa: Delta is validate's alone
+CHAIN = dict(geff=None, kappa=1.0)
 STATE = dict(CHAIN, ratio=1.0)
 DIAGONAL = ",".join(DIAGONAL_PAIRS)
 
@@ -210,7 +211,7 @@ def _config_flags(args):
 def _resolve_params(args):
     if args.geff is None:
         raise ConfigError("specify --geff")
-    return SystemParams.from_geff(args.geff, kappa=args.kappa, Delta=args.delta_detuning)
+    return SystemParams.from_geff(args.geff, kappa=args.kappa)
 
 
 def _resolve_grid(args, n_columns):
@@ -314,6 +315,8 @@ def cmd_phase_diagram(args):
 def cmd_validate(args):
     if args.t_max <= 0:
         raise ConfigError("--t-max must be positive")
+    if args.tol <= 0:
+        raise ConfigError("--tol must be positive")
     unit = args.kappa if args.kappa > 0 else 1.0      # as in from_geff
     delta = 1e4 * unit if args.delta_detuning is None else args.delta_detuning
     bandwidth = 200.0 * unit if args.bandwidth is None else args.bandwidth

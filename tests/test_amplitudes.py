@@ -66,7 +66,7 @@ class TestSystemParams:
         # at the caller, not in the dataclass-generated __init__ ("<string>")
         # nor in from_geff
         for build in (lambda: SystemParams(g=10.0, Omega=10.0, Delta=20.0),
-                      lambda: SystemParams.from_geff(60.0)):
+                      lambda: SystemParams.from_geff(60.0, Delta=500.0)):
             with pytest.warns(UserWarning, match="Delta is not large") as record:
                 build()
             assert record[0].filename == __file__

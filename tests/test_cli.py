@@ -16,6 +16,7 @@ import pytest
 
 import entransfer
 from entransfer import cli, errors
+from entransfer.amplitudes import SystemParams
 from entransfer.cli import COMMANDS, FIGURES, build_parser, emit, main
 from entransfer.errors import ConfigError
 from entransfer.events import PAIR_LABELS, EventRecord
@@ -27,7 +28,7 @@ GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 CLOSED_FORM = {**{name: [name, "--geff", "5"]
                   for name in ("amplitudes", "concurrence", "events", "window")},
                **{f"figure{n}": ["figure", str(n)] for n in (3, 4, 5, 6, 8, 9, 10)}}
-REMOVED = ["--g", "--omega", "--alpha", "--beta"]
+REMOVED = ["--g", "--omega", "--alpha", "--beta", "--delta-detuning"]
 
 # each subcommand and preset at a small size, every one exiting 0
 SMALL = {
@@ -226,6 +227,8 @@ class TestExitCodes:
          "invalid phase-diagram grid ranges"),
         (["validate", "--t-max", "0"], "--t-max must be positive"),
         (["validate", "--t-max", "-1"], "--t-max must be positive"),
+        (["validate", "--tol", "0"], "--tol must be positive"),
+        (["validate", "--tol", "-1"], "--tol must be positive"),
     ])
     def test_config_error_named(self, argv, message, capsys):
         assert main(argv) == 2
@@ -351,6 +354,12 @@ class TestExitCodes:
         assert captured.out == ""
         assert "non-finite lindblad_error in data row 1" in captured.err
 
+    def test_validate_takes_delta(self, tmp_path):
+        status, out = run(tmp_path, "validate", "--delta-detuning", "2e4", "--format", "json")
+        assert status == 0
+        data = json.loads(out.read_text())
+        assert data["config"]["Delta"] == 2e4 and data["records"][0][-1] == 1
+
     def test_validate_kappa_0_defaults(self, tmp_path):
         # Delta and the bandwidth default to 1e4 and 200 in the unit 1, not
         # to 0; undamped, the closed forms drift past the tolerance by t = 10
@@ -396,6 +405,16 @@ class TestMisc:
         assert captured.err == "" and found == "1"
         assert float(t_start) == pytest.approx(0.1230959417, abs=1e-8)
         assert float(t_end) == pytest.approx(0.1910633236, abs=1e-8)
+
+    @pytest.mark.filterwarnings("error")
+    def test_default_delta_raises_no_warning(self, capsys):
+        # from_geff's default Delta = 500 kappa is below 10 g once g_eff > 5 kappa
+        for argv in (["phase-diagram", "--gamma-min", "1", "--gamma-max", "20",
+                      "--gamma-steps", "3", "--ratio-steps", "2"],
+                     ["events", "--geff", "8", "--ratio", "2", "--t-max", "1"]):
+            assert main(argv) == 0
+            assert capsys.readouterr().err == ""
+        SystemParams.from_geff(60.0)
 
     # the overflow is reported by the error line alone, not by numpy warnings
     @pytest.mark.filterwarnings("error")

@@ -425,14 +425,12 @@ class TestCavityPhase:
         with pytest.raises(ValueError, match="finite"):
             cavity_entangled_intervals(0.01, 0.9999)
 
-    @pytest.mark.filterwarnings("ignore:Delta is not large")
     def test_entangled_intervals_past_memory_rejected_before_allocating(self):
         # ~2.2e8 half periods to the last peak above 1 - ratio: 6.6e8 lattice
         # points, 5.3 GB per float array before the sub-scans
         with pytest.raises(ConfigError, match=r"scan of 2\.19886e\+08 half periods"):
             cavity_entangled_intervals(1e7, 1.0 - 1e-15)
 
-    @pytest.mark.filterwarnings("ignore:Delta is not large")
     @settings(derandomize=True, max_examples=20, deadline=None)
     @given(gamma=log_uniform(0.05, 10.0), gap=log_uniform(1e-6, 0.5))
     def test_entangled_intervals_match_a_dense_scan(self, gamma, gap):
@@ -543,7 +541,6 @@ class TestDeadWindow:
         for pair in DIFFERENT_CHAINS:
             assert np.all(concurrence_series(pair, init, p, ts) == 0.0), pair
 
-    @pytest.mark.filterwarnings("ignore:Delta is not large")
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(gamma=log_uniform(0.05, 10.0), ratio=log_uniform(1.01, 50.0),
            horizon=log_uniform(1.0, 60.0))
@@ -594,7 +591,6 @@ def assert_scipy_roots(calls):
         assert _roots.brentq(f, a, b, xtol).hex() == scipy_brentq(f, a, b, xtol=xtol).hex()
 
 
-@pytest.mark.filterwarnings("ignore:Delta is not large")
 class TestBrentq:
     def test_detect_events_brackets_match_scipy(self):
         rng = np.random.default_rng(20)
