@@ -324,6 +324,14 @@ def cmd_validate(args):
     d = oracle.ReservoirDiscretization(n_modes=args.n_modes, bandwidth=bandwidth)
     d.validate(p, args.t_max)
     amp_err, leak = oracle.discretized_errors(p, d, args.t_max)
+    # lindblad_error is resolved only to the RK4 route's rounding, about
+    # 0.05 eps per substep as measured; where 16 eps per substep exceeds
+    # --tol it must not decide a run that amplitude_error has not failed
+    rounding = 16.0 * args.t_max / oracle._lindblad_step(p) * np.finfo(float).eps
+    if amp_err <= args.tol < rounding:
+        raise ConfigError(
+            f"--delta-detuning {delta:g} with --t-max {args.t_max:g}: the Lindblad "
+            f"route's rounding, up to {rounding:.2g}, exceeds --tol {args.tol:g}")
     lind_grid = np.linspace(args.t_max / 50.0, args.t_max, 50)
     lind_err = oracle.lindblad_max_error(p, lind_grid)
     passed = amp_err <= args.tol and lind_err <= args.tol

@@ -8,7 +8,10 @@ oracles that ``entransfer validate`` runs.
   and Jortner, J. Chem. Phys. 48, 715 (1968)), whose mode sums have
   digamma closed forms, in O(N) time and memory per iteration and a few
   iterations; the dense eigendecomposition that checks it lives in the
-  reference route, :mod:`entransfer.jointstate`.
+  reference route, :mod:`entransfer.jointstate`.  On the uniform grid of
+  T sample times each phase exp(-i lam t) factors into one of ~sqrt(T)
+  coarse and one of ~sqrt(T) fine phases, so the populations take
+  O(sqrt(T) N) cosines and sines plus O(T N) BLAS work.
   Its error against the closed forms has two terms that partly cancel:
   the dropped intermediate level (~4 g_eff / Delta) and the finite
   bandwidth B.  Once the recurrence time exceeds the horizon the mode
@@ -30,6 +33,9 @@ from .amplitudes import _check_grid, _squares, amplitudes_exact, exact_squares
 from .errors import require_memory
 
 _ERROR_SAMPLES = 201    # times in [0, horizon] that discretized_errors compares
+# peak bytes per reservoir mode of discretized_errors, measured with numpy 2
+# on CPython 3.11
+_MODE_BYTES = 1536
 
 
 @dataclass(frozen=True)
@@ -312,23 +318,36 @@ def spectrum(p, d):
     return lam[order], np.concatenate(comps, axis=1)[:, order]
 
 
-def populations(p, d, times):
-    """|e00>, |c00>, |g10> and summed reservoir populations at each of
-    ``times``, shape (len(times), 4), from ``spectrum``.
+def populations(p, d, horizon, samples):
+    """|e00>, |c00>, |g10> and summed reservoir populations at the
+    ``samples`` times ``np.linspace(0, horizon, samples)``, shape
+    (samples, 4), from ``spectrum``.
 
     psi_X(t) = sum_j v_Xj v_ej exp(-i lam_j t) over normalized eigenvectors;
-    the reservoir holds what the three head levels do not.  Raises
-    ConfigError, before allocating, when the phase matrix lam_j t and its
-    cosine (then its sine), 16 (N + 3) len(times) bytes, would not fit in
-    physical memory.
+    the reservoir holds what the three head levels do not.  The grid is
+    uniform, so with m = ceil(sqrt(samples)) sample q m + r is the time
+    t_qm + t_r and exp(-i lam t) factors into a coarse and a fine phase:
+    the fine cosines and sines fold into the weights v_Xj v_ej as an
+    (N + 3) x 6m block, and one product of it with the cosines and one
+    with the sines of the ceil(samples / m) coarse rows give the real and
+    imaginary parts of every amplitude by angle addition.  That is
+    O(sqrt(samples) N) cosines and sines and O(samples N) BLAS work.
     """
-    ts = np.atleast_1d(np.asarray(times, dtype=float))
-    require_memory(16 * ts.size * (d.n_modes + 3),
-                   f"the oracle's phase matrix for {d.n_modes} reservoir modes")
+    m = math.isqrt(samples - 1) + 1
+    step = horizon / (samples - 1) if samples > 1 else 0.0
     lam, comps = spectrum(p, d)
-    phase = np.outer(ts, lam)
     weights = (comps * comps[0]).T
-    head = (np.cos(phase) @ weights) ** 2 + (np.sin(phase) @ weights) ** 2
+    fine = np.outer(lam, step * np.arange(m))
+    # (N + 3, 6m): columns 3r + X hold cos(lam t_r) v_X v_e, then 3m + 3r + X
+    # the same with sin
+    folded = (np.concatenate([np.cos(fine), np.sin(fine)], axis=1)[:, :, None]
+              * weights[:, None, :]).reshape(lam.size, 6 * m)
+    coarse = np.outer(step * m * np.arange(-(-samples // m)), lam)
+    cos_part = np.cos(coarse) @ folded
+    sin_part = np.sin(coarse) @ folded
+    re = cos_part[:, :3 * m] - sin_part[:, 3 * m:]
+    im = sin_part[:, :3 * m] + cos_part[:, 3 * m:]
+    head = (re**2 + im**2).reshape(-1, 3)[:samples]
     return np.column_stack([head, 1.0 - head.sum(axis=1)])
 
 
@@ -355,6 +374,11 @@ def _liouvillian(p):
     return lv + (p.kappa / 2.0) * (2.0 * jump - anti)
 
 
+def _lindblad_step(p):
+    """The internal step of ``lindblad_evolve``."""
+    return 0.01 / max(p.kappa, abs(p.omega_bar), abs(p.Delta))
+
+
 def lindblad_evolve(p, grid):
     """RK4 integration of the dissipative atom-cavity master equation.
 
@@ -365,7 +389,7 @@ def lindblad_evolve(p, grid):
     exact propagator, applied once per substep.
     """
     grid = _check_grid(grid)
-    step = 0.01 / max(p.kappa, abs(p.omega_bar), abs(p.Delta))
+    step = _lindblad_step(p)
     lv = _liouvillian(p)
     term = rk4 = np.eye(16, dtype=complex)
     for k in (1, 2, 3, 4):
@@ -410,12 +434,16 @@ def discretized_errors(p, d, horizon):
     amplitude_error is the max deviation of |E|^2, |G|^2 and R^2 from the
     closed forms, with R^2 the summed reservoir-mode population; leakage
     is the max population of the far-detuned intermediate level, the
-    size of the term the closed forms drop.
+    size of the term the closed forms drop.  Raises ConfigError, before
+    solving, when ``_MODE_BYTES`` per mode would not fit in physical
+    memory.
     """
     if not (np.isfinite(horizon) and horizon >= 0):
         raise ValueError("horizon must be finite and non-negative")
+    require_memory(_MODE_BYTES * (d.n_modes + 3.0),
+                   f"the oracle at {d.n_modes} reservoir modes")
     ts = np.linspace(0.0, horizon, _ERROR_SAMPLES)
-    pops = populations(p, d, ts)
+    pops = populations(p, d, horizon, _ERROR_SAMPLES)
     e2, g2, r2 = exact_squares(ts, p)
     amplitude_error = max(np.max(np.abs(pops[:, 0] - e2)),
                           np.max(np.abs(pops[:, 2] - g2)),

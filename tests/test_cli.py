@@ -284,8 +284,23 @@ class TestExitCodes:
 
     def test_validate_oversized_reservoir(self, capsys):
         # rejected from a size estimate, before any allocation
-        assert main(["validate", "--n-modes", "10000000"]) == 2
+        assert main(["validate", "--n-modes", "1000000000"]) == 2
         assert "GB" in capsys.readouterr().err
+
+    def test_validate_below_lindblad_rounding(self, capsys):
+        # 1e11 RK4 substeps: rounding up to 3.6e-4, within --tol
+        assert main(["validate", "--delta-detuning", "1e8"]) == 0
+        assert capsys.readouterr().out == (
+            "amplitude_error,lindblad_error,leakage,tol,passed\n"
+            "0.00644641629422,1.1102515215e-06,1.94773819281e-07,0.02,1\n")
+
+    @pytest.mark.parametrize("delta", ["1e10", "1e12"])
+    def test_validate_beyond_lindblad_rounding(self, capsys, delta):
+        # lindblad_error read 7.1e-5 at 1e10 and 0.0099 at 1e12, both passing
+        assert main(["validate", "--delta-detuning", delta]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--delta-detuning" in captured.err and "--t-max" in captured.err
 
     @pytest.mark.parametrize("argv, flag", [
         (["amplitudes", "--geff", "5", "--steps", "1000000000000"], "--steps"),

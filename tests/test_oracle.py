@@ -1,12 +1,14 @@
 """Unit tests for the discretized-reservoir and Lindblad oracles."""
 
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from entransfer import oracle as oracle_module
 from entransfer.amplitudes import SystemParams, exact_squares
 from entransfer.errors import ConfigError
 from entransfer.jointstate import build_hamiltonian, collective_chain, evolve
@@ -35,6 +37,16 @@ def dense_populations(p, d, ts):
     psi0[0] = 1.0
     pops = np.abs(evolve(h, psi0, ts)) ** 2
     return np.column_stack([pops[:, :3], pops[:, 3:].sum(axis=1)])
+
+
+def direct_populations(p, d, ts):
+    """The same populations from ``spectrum`` through the direct
+    T x (N + 3) phase matrix: cos(outer(ts, lam)) @ w and likewise sin."""
+    lam, comps = spectrum(p, d)
+    weights = (comps * comps[0]).T
+    phase = np.outer(ts, lam)
+    head = (np.cos(phase) @ weights) ** 2 + (np.sin(phase) @ weights) ** 2
+    return np.column_stack([head, 1.0 - head.sum(axis=1)])
 
 
 def longdouble_populations(p, d, ts):
@@ -223,7 +235,7 @@ class TestDiscretizedAgreement:
         ts = np.linspace(0.0, 5.0, 201)
         h = build_hamiltonian(p, d)
         bound = 2.0 * h.shape[0] * EPS * np.linalg.norm(h, 2) * ts[-1]
-        assert np.max(np.abs(populations(p, d, ts) - dense_populations(p, d, ts))) < bound
+        assert np.max(np.abs(populations(p, d, 5.0, 201) - dense_populations(p, d, ts))) < bound
 
     def test_bandwidth_floor(self):
         # the error is a bandwidth floor: ten times the modes at the same
@@ -254,6 +266,19 @@ class TestDiscretizedAgreement:
         p = SystemParams.from_geff(5.0, Delta=1e4)
         with pytest.raises(ConfigError, match="GB"):
             discretized_errors(p, ReservoirDiscretization(10**10, 200.0), 10.0)
+
+    def test_memory_guard_covers_the_peak(self, monkeypatch):
+        asked = []
+        monkeypatch.setattr(oracle_module, "require_memory",
+                            lambda nbytes, what: asked.append(nbytes))
+        p = SystemParams.from_geff(5.0, Delta=1e4)
+        tracemalloc.start()
+        try:
+            discretized_errors(p, ReservoirDiscretization(20000, 200.0), 10.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(asked) == 1 and peak < asked[0] < 2 * peak
 
     def test_convergence_in_mode_count(self):
         p = SystemParams.from_geff(5.0, Delta=5e4)
@@ -286,8 +311,23 @@ class TestSecularSpectrum:
     def test_populations_match_dense(self, case):
         p, d = _quiet(SECULAR_CASES[case])
         ts = np.linspace(0.0, 3.0, 61)
-        got = populations(p, d, ts)
+        got = populations(p, d, 3.0, 61)
         assert np.max(np.abs(got - dense_populations(p, d, ts))) < 1e-12
+
+    @pytest.mark.parametrize("samples", [1, 2, 3, 15, 16, 17, 201, 202])
+    @pytest.mark.parametrize("horizon", [0.0, 1e-3, 10.0, 1e3])
+    def test_factored_phases_match_direct(self, horizon, samples):
+        # exp(-i lam t) of the direct route and the coarse and fine phases of
+        # the factored one round lam t apart by at most 2.5 eps |lam| t, which
+        # moves a population by at most twice that times |v_X v_e|
+        p = SystemParams.from_geff(5.0, Delta=1e4)
+        d = ReservoirDiscretization(n_modes=100, bandwidth=100.0)
+        ts = np.linspace(0.0, horizon, samples)
+        got = populations(p, d, horizon, samples)
+        assert got.shape == (samples, 4)
+        lam, comps = spectrum(p, d)
+        phase_rounding = 5.0 * EPS * horizon * np.max(np.abs(comps * comps[0] * lam).sum(axis=1))
+        assert np.max(np.abs(got - direct_populations(p, d, ts))) <= 1e-14 + phase_rounding
 
     def test_head_pole_on_mode_deflated(self):
         p, d = _quiet(SECULAR_CASES["pole on mode"])
@@ -310,7 +350,7 @@ class TestSecularSpectrum:
     def test_initial_state_complete(self):
         for build in SECULAR_CASES.values():
             p, d = _quiet(build)
-            pops = populations(p, d, [0.0])[0]
+            pops = populations(p, d, 0.0, 1)[0]
             assert np.max(np.abs(pops - [1.0, 0.0, 0.0, 0.0])) < 1e-14
 
     @pytest.mark.skipif(not EXTENDED, reason="np.longdouble is float64 here")
