@@ -12,22 +12,9 @@ into the reservoir.
 weak-coupling approximations return the squared magnitudes directly.
 """
 
-import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-
-
-def _caller_stacklevel():
-    """The ``stacklevel`` at which a warning raised by the function calling
-    this one names the first line outside this module and the dataclass-
-    generated ``SystemParams.__init__``, e.g. the caller of from_geff."""
-    level, frame = 1, sys._getframe(1)
-    while frame.f_back is not None and (frame.f_code.co_filename == __file__
-                                        or frame.f_code is SystemParams.__init__.__code__):
-        level, frame = level + 1, frame.f_back
-    return level
 
 
 @dataclass(frozen=True)
@@ -57,13 +44,6 @@ class SystemParams:
             raise ValueError("kappa must be non-negative")
         if self.Delta == 0:
             raise ValueError("Delta must be nonzero")
-        if self.Delta < 10.0 * max(self.g, self.Omega):
-            warnings.warn(
-                "Delta is not large compared to the couplings "
-                f"(Delta={self.Delta}, g={self.g}, Omega={self.Omega}); "
-                "the effective two-level description degrades",
-                stacklevel=_caller_stacklevel(),
-            )
 
     @property
     def delta(self):
@@ -106,19 +86,11 @@ class SystemParams:
         g_eff = 5 kappa the explicit-reservoir oracle differs by 0.070 at
         Delta = 500 kappa and by 0.0034 at Delta = 1e4 kappa, the
         ``validate`` default.
-
-        A defaulted Delta is never warned about, though it is not large
-        against g = Omega once g_eff > 5 kappa: the closed forms read the
-        chain only through g_eff and kappa, so a Delta the caller did not
-        choose says nothing about them.  An explicit Delta warns as direct
-        construction does, at the caller's line.
         """
         if g_eff <= 0:
             raise ValueError("g_eff must be positive")
         if Delta is None:
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "Delta is not large", UserWarning)
-                return cls.from_geff(g_eff, kappa, 500.0 * (kappa if kappa > 0 else 1.0))
+            Delta = 500.0 * (kappa if kappa > 0 else 1.0)
         g = np.sqrt(g_eff * Delta)
         return cls(g=g, Omega=g, Delta=Delta, kappa=kappa)
 

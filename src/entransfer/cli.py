@@ -317,6 +317,8 @@ def cmd_validate(args):
         raise ConfigError("--t-max must be positive")
     if args.tol <= 0:
         raise ConfigError("--tol must be positive")
+    if args.n_modes <= 0:
+        raise ConfigError("--n-modes must be positive")
     unit = args.kappa if args.kappa > 0 else 1.0      # as in from_geff
     delta = 1e4 * unit if args.delta_detuning is None else args.delta_detuning
     bandwidth = 200.0 * unit if args.bandwidth is None else args.bandwidth

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .amplitudes import _check_grid, _squares, amplitudes_exact, exact_squares
-from .errors import require_memory
+from .errors import ConfigError, require_memory
 
 _ERROR_SAMPLES = 201    # times in [0, horizon] that discretized_errors compares
 # peak bytes per reservoir mode of discretized_errors, measured with numpy 2
@@ -71,16 +71,23 @@ class ReservoirDiscretization:
         return 2.0 * np.pi / self.spacing if self.n_modes else np.inf
 
     def validate(self, p, horizon):
-        """Check that the discretization can fake a continuum over
-        ``horizon``: no recurrence, and bandwidth well above every system
-        rate.  Warns on each violation; True if there is none."""
+        """Check that this oracle run can stand in for the closed forms
+        over ``horizon``: a mode, no recurrence, bandwidth well above every
+        system rate and Delta well above g and Omega.  Warns on each
+        violation; True if there is none."""
         problems = []
+        if not self.n_modes:
+            problems.append("no reservoir modes")
         if self.recurrence_time <= horizon:
             problems.append(
                 f"recurrence time {self.recurrence_time:.3g} <= horizon {horizon:.3g}")
         floor = 20.0 * max(p.kappa, p.g_eff, abs(p.omega_bar))
         if self.bandwidth < floor:
             problems.append(f"bandwidth {self.bandwidth:.3g} < {floor:.3g}")
+        if p.Delta < 10.0 * max(p.g, p.Omega):
+            problems.append("Delta is not large compared to the couplings "
+                            f"(Delta={p.Delta}, g={p.g}, Omega={p.Omega}); "
+                            "the effective two-level description degrades")
         for msg in problems:
             warnings.warn(msg, stacklevel=2)
         return not problems
@@ -135,6 +142,23 @@ def _mode_sums(u, n):
     return first, second
 
 
+def _heads(p, offsets):
+    """The eigenvalues h-+ of the (e, c) block [[-delta, Omega], [Omega,
+    Delta]], h-+ + delta, the shares a-+ = u_c^2 of |c00> in their
+    eigenvectors, whether each head's coupling g sqrt(a-+) to |g10> is
+    deflated, and the floor 8 eps |H| it is deflated below, |H| the largest
+    of |h-+|, the mode ``offsets``, g and Omega."""
+    om, delta = p.Omega, p.delta
+    radius = math.hypot((p.Delta + delta) / 2.0, om)
+    heads = np.array(_root_pair((p.Delta - delta) / 2.0, radius,
+                                -delta * p.Delta - om * om))
+    shifted = np.array(_root_pair((p.Delta + delta) / 2.0, radius, -om * om))
+    share = np.abs(shifted) / (2.0 * radius)
+    floor = 8.0 * np.finfo(float).eps * max(
+        np.max(np.abs(heads)), np.max(np.abs(offsets), initial=0.0), p.g, om)
+    return heads, shifted, share, p.g * np.sqrt(share) <= floor, floor
+
+
 def spectrum(p, d):
     """Eigenvalues of the real single-excitation Hamiltonian over
     {|e00>, |c00>, |g10>, |g0 1_k>} (``jointstate.build_hamiltonian(p, d)``,
@@ -182,22 +206,15 @@ def spectrum(p, d):
     less accurately (5e-11 at g_eff = 1e-6, Delta = 1e4, N = 50, B = 200).
     """
     g, om, delta = p.g, p.Omega, p.delta
-    radius = math.hypot((p.Delta + delta) / 2.0, om)
-    heads = np.array(_root_pair((p.Delta - delta) / 2.0, radius,
-                                -delta * p.Delta - om * om))
-    shifted = np.array(_root_pair((p.Delta + delta) / 2.0, radius, -om * om))
-    share = np.abs(shifted) / (2.0 * radius)      # a-, a+
     offsets = d.offsets
+    heads, shifted, share, weak, tol = _heads(p, offsets)   # weak: out of the secular sum
     s = d.spacing
     rate = p.kappa / (2.0 * np.pi)                 # c^2 / s
     eps = np.finfo(float).eps
-    tol = 8.0 * eps * max(np.max(np.abs(heads)), np.max(np.abs(offsets), initial=0.0),
-                          g, om)
     coupled = d.n_modes > 0 and math.sqrt(rate * s * d.n_modes) > tol
     modes = offsets if coupled else np.empty(0)
     nm = modes.size
 
-    weak = g * np.sqrt(share) <= tol               # heads out of the secular sum
     on_mode = np.zeros(2, dtype=bool)
     if nm:
         k = np.clip(np.rint((heads - modes[0]) / s), 0, nm - 1).astype(int)
@@ -436,12 +453,20 @@ def discretized_errors(p, d, horizon):
     is the max population of the far-detuned intermediate level, the
     size of the term the closed forms drop.  Raises ConfigError, before
     solving, when ``_MODE_BYTES`` per mode would not fit in physical
-    memory.
+    memory, or when ``spectrum`` would deflate a head level: the atom's
+    coupling g sqrt(a-) ~ g_eff reaches that floor, 8 eps |H| ~ 8 eps
+    Delta, near Delta = 3e15 at g_eff = 5, and the atom would never decay.
     """
     if not (np.isfinite(horizon) and horizon >= 0):
         raise ValueError("horizon must be finite and non-negative")
     require_memory(_MODE_BYTES * (d.n_modes + 3.0),
                    f"the oracle at {d.n_modes} reservoir modes")
+    *_, weak, floor = _heads(p, d.offsets)
+    if weak.any():
+        raise ConfigError(
+            f"Delta {p.Delta:g} is too large for g_eff {p.g_eff:g}: the secular "
+            f"solve resolves no coupling below {floor:.3g} (8 eps |H|), so the "
+            "oracle's atom would not decay")
     ts = np.linspace(0.0, horizon, _ERROR_SAMPLES)
     pops = populations(p, d, horizon, _ERROR_SAMPLES)
     e2, g2, r2 = exact_squares(ts, p)

@@ -229,6 +229,7 @@ class TestExitCodes:
         (["validate", "--t-max", "-1"], "--t-max must be positive"),
         (["validate", "--tol", "0"], "--tol must be positive"),
         (["validate", "--tol", "-1"], "--tol must be positive"),
+        (["validate", "--n-modes", "0"], "--n-modes must be positive"),
     ])
     def test_config_error_named(self, argv, message, capsys):
         assert main(argv) == 2
@@ -293,6 +294,23 @@ class TestExitCodes:
         assert capsys.readouterr().out == (
             "amplitude_error,lindblad_error,leakage,tol,passed\n"
             "0.00644641629422,1.1102515215e-06,1.94773819281e-07,0.02,1\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["--geff", "0.1", "--delta-detuning", "1e14"],
+        ["--delta-detuning", "3e15", "--tol", "1e6"],
+        ["--delta-detuning", "1e16"],
+    ])
+    def test_validate_beyond_secular_resolution(self, argv, monkeypatch, capsys):
+        # the secular solve would deflate the atom's head pole, which then
+        # never decays: these exited 3, 0 and 3 on the oracle's resolution
+        def unreachable(*args):
+            raise AssertionError("an oracle solved")
+        monkeypatch.setattr(cli.oracle, "populations", unreachable)
+        monkeypatch.setattr(cli.oracle, "lindblad_evolve", unreachable)
+        assert main(["validate", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Delta" in captured.err and "g_eff" in captured.err
 
     @pytest.mark.parametrize("delta", ["1e10", "1e12"])
     def test_validate_beyond_lindblad_rounding(self, capsys, delta):

@@ -1,5 +1,6 @@
 """Unit tests for the discretized-reservoir and Lindblad oracles."""
 
+import re
 import time
 import tracemalloc
 import warnings
@@ -156,6 +157,16 @@ class TestDiscretization:
         bad = ReservoirDiscretization(n_modes=20, bandwidth=2.0)
         with pytest.warns(UserWarning):
             assert not bad.validate(p, 10.0)
+        empty = ReservoirDiscretization(n_modes=0, bandwidth=200.0)
+        with pytest.warns(UserWarning, match="no reservoir modes"):
+            assert not empty.validate(p, 10.0)
+
+    def test_validate_warns_on_small_delta(self):
+        # at the caller's line, once: the only check that reads Delta
+        d = ReservoirDiscretization(n_modes=2000, bandwidth=200.0)
+        with pytest.warns(UserWarning, match="Delta is not large") as record:
+            assert not d.validate(SystemParams(g=10.0, Omega=10.0, Delta=20.0), 10.0)
+        assert len(record) == 1 and record[0].filename == __file__
 
     def test_rejects_negative_modes(self):
         with pytest.raises(ValueError):
@@ -266,6 +277,21 @@ class TestDiscretizedAgreement:
         p = SystemParams.from_geff(5.0, Delta=1e4)
         with pytest.raises(ConfigError, match="GB"):
             discretized_errors(p, ReservoirDiscretization(10**10, 200.0), 10.0)
+
+    @pytest.mark.parametrize("delta", [1e15, 3e15, 1e16])
+    def test_deflated_head_rejected(self, delta):
+        # past Delta ~ g_eff / 8 eps spectrum deflates the atom's head pole,
+        # which then never decays: rejected exactly where that happens
+        p = SystemParams.from_geff(5.0, Delta=delta)
+        d = ReservoirDiscretization(2000, 200.0)
+        deflated = np.any(spectrum(p, d)[1][2] == 0.0)     # no |g10> component
+        assert deflated == (delta > 1e15)
+        if deflated:
+            message = re.escape(f"Delta {delta:g} is too large for g_eff 5:")
+            with pytest.raises(ConfigError, match=message):
+                discretized_errors(p, d, 10.0)
+        else:
+            assert discretized_errors(p, d, 10.0)[0] < 0.01
 
     def test_memory_guard_covers_the_peak(self, monkeypatch):
         asked = []
