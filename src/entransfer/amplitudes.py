@@ -12,9 +12,15 @@ into the reservoir.
 weak-coupling approximations return the squared magnitudes directly.
 """
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+# past |Im x| = log(DBL_MAX / 4) = 708.4 cmath rescales cos and sin (and
+# raises OverflowError from 710.5 on) where numpy's libm does not
+_CMATH_AS_LIBM = 708.0
 
 
 @dataclass(frozen=True)
@@ -128,14 +134,21 @@ def _check_grid(grid):
 
 def _squares(e, g, decays):
     """(|E|^2, |G|^2, R^2) of the amplitudes e, g; a scalar gives the bits
-    of the same value in an array.  np.square, not ** 2: a numpy scalar
-    squares by pow(), which misrounds about one square in a thousand that
-    an array squares exactly.  R^2 = 1 - (|E|^2 + |G|^2), clipped at 0,
-    rounds the non-increasing sum once, so it never decreases; 1 - |E|^2 -
-    |G|^2 fell by an ulp at about 4 points in 10^4 once R^2 neared 1.
-    Without decay (``decays`` false, kappa = 0) R^2 is exactly 0: 1 - the
-    sum is then rounding noise of up to 2e-16, which reads as a live
-    reservoir."""
+    of the same value in an array.  E is real and G imaginary (omega_bar
+    is real or imaginary), so abs() is exact on either branch.  A scalar
+    squares as abs(e) * abs(e), an array by np.square: x ** 2 of a numpy
+    scalar is pow(), which misrounds about one square in a thousand that
+    the product gets exactly.  R^2 = 1 - (|E|^2 + |G|^2), clipped at 0 so
+    that NaN passes, rounds the non-increasing sum once, so it never
+    decreases; 1 - |E|^2 - |G|^2 fell by an ulp at about 4 points in 10^4
+    once R^2 neared 1.  Without decay (``decays`` false, kappa = 0) R^2 is
+    exactly 0: 1 - the sum is then rounding noise of up to 2e-16, which
+    reads as a live reservoir."""
+    if isinstance(e, complex):
+        e2 = abs(e) * abs(e)
+        g2 = abs(g) * abs(g)
+        r2 = 1.0 - (e2 + g2) if decays else 0.0
+        return e2, g2, 0.0 if r2 < 0.0 else r2
     e2 = np.square(np.abs(e))
     g2 = np.square(np.abs(g))
     if not decays:
@@ -143,8 +156,44 @@ def _squares(e, g, decays):
     return e2, g2, np.clip(1.0 - (e2 + g2), 0.0, None)
 
 
+def _divide(a, b):
+    """a / b for complex b != 0 by Smith's algorithm, in numpy's operations:
+    Python's own complex division rounds sin(x) / omega_bar differently at
+    over a quarter of the points of a seeded sweep."""
+    if abs(b.real) >= abs(b.imag):
+        rat = b.imag / b.real
+        scl = 1.0 / (b.real + b.imag * rat)
+        return complex((a.real + a.imag * rat) * scl, (a.imag - a.real * rat) * scl)
+    rat = b.real / b.imag
+    scl = 1.0 / (b.imag + b.real * rat)
+    return complex((a.real * rat + a.imag) * scl, (a.imag * rat - a.real) * scl)
+
+
 def _eg(t, p):
-    """E and G at time(s) t; array-aware."""
+    """E and G at time(s) t; array-aware.
+
+    A Python float or int t is evaluated on Python complex and float, at
+    a sixth of the cost of numpy's 0-d arrays, in the same IEEE operations
+    as the array code, so it gives the bits of ``_eg(np.array([t]), p)``
+    (``TestScalarRoute`` holds the two to that): cmath.sin and cos agree
+    with the libm functions numpy calls; the division is ``_divide``,
+    numpy's Smith algorithm; the damping keeps np.exp, from which
+    math.exp differs at ~5% of points; one factor of every complex
+    product is real or imaginary, so numpy's fused complex multiply
+    rounds as Python's does.  NaN, infinite and negative t, and x =
+    omega_bar t past cmath's agreement with libm (|Im x| >= 708, from the
+    overdamped kappa t ~ 2840 on, where the array code overflows to NaN,
+    or Re x infinite), take the array code below.
+    """
+    if isinstance(t, (float, int)) and 0.0 <= t < math.inf:
+        t = float(t)
+        ob = complex(p.omega_bar)
+        x = ob * t
+        if abs(x.imag) < _CMATH_AS_LIBM and abs(x.real) < math.inf:
+            sinc = complex(t) if abs(x) < 1e-12 else _divide(cmath.sin(x), ob)
+            damp = np.exp(-p.kappa * t / 4.0)
+            e = (cmath.cos(x) + (p.kappa / 4.0) * sinc) * damp
+            return e, 1j * p.g_eff * sinc * damp
     t = _check_time(t)
     ob = p.omega_bar
     # sin(x)/x limit at critical damping
@@ -165,10 +214,10 @@ def amplitudes_exact(t, p):
     complex omega_bar; magnitudes stay real either way.
     """
     e, g = _eg(t, p)
-    r = np.sqrt(_squares(e, g, p.kappa > 0)[2])
-    if np.ndim(e) == 0:
-        return AmplitudeTriple(E=complex(e), G=complex(g), R=float(r))
-    return AmplitudeTriple(E=e, G=g, R=r)
+    r2 = _squares(e, g, p.kappa > 0)[2]
+    if isinstance(e, complex):
+        return AmplitudeTriple(E=complex(e), G=complex(g), R=math.sqrt(r2))
+    return AmplitudeTriple(E=e, G=g, R=np.sqrt(r2))
 
 
 def exact_squares(t, p):

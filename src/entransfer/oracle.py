@@ -453,16 +453,19 @@ def discretized_errors(p, d, horizon):
     is the max population of the far-detuned intermediate level, the
     size of the term the closed forms drop.  Raises ConfigError, before
     solving, when ``_MODE_BYTES`` per mode would not fit in physical
-    memory, or when ``spectrum`` would deflate a head level: the atom's
-    coupling g sqrt(a-) ~ g_eff reaches that floor, 8 eps |H| ~ 8 eps
-    Delta, near Delta = 3e15 at g_eff = 5, and the atom would never decay.
+    memory, or when ``spectrum`` would deflate a head level that moves
+    the populations within the horizon: the atom's coupling
+    g sqrt(a-) ~ g_eff reaches that floor, 8 eps |H| ~ 8 eps Delta, near
+    Delta = 3e15 at g_eff = 5, and the atom would never decay.  A head
+    whose coupling c gives (c horizon)^2 <= eps moves them by less than
+    the rounding the oracle already carries, and is deflated quietly.
     """
     if not (np.isfinite(horizon) and horizon >= 0):
         raise ValueError("horizon must be finite and non-negative")
     require_memory(_MODE_BYTES * (d.n_modes + 3.0),
                    f"the oracle at {d.n_modes} reservoir modes")
-    *_, weak, floor = _heads(p, d.offsets)
-    if weak.any():
+    _, _, share, weak, floor = _heads(p, d.offsets)
+    if np.any((p.g * np.sqrt(share[weak]) * horizon)**2 > np.finfo(float).eps):
         raise ConfigError(
             f"Delta {p.Delta:g} is too large for g_eff {p.g_eff:g}: the secular "
             f"solve resolves no coupling below {floor:.3g} (8 eps |H|), so the "

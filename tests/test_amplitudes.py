@@ -1,5 +1,6 @@
 """Unit tests for the closed-form single-chain amplitudes."""
 
+import cmath
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entransfer import cli, events
 from entransfer.amplitudes import (
     SystemParams,
     amplitudes_exact,
@@ -213,6 +215,85 @@ class TestExactAmplitudes:
         p = params_geff(0.01)
         e2 = exact_squares(50.0, p)[0]
         assert e2 == pytest.approx(np.exp(-4.0 * p.gamma**2 * 50.0), rel=1e-2)
+
+
+def same_bits(a, b):
+    """Byte-equal arrays, where NaN equals NaN only where both are NaN."""
+    a, b = np.asarray(a), np.asarray(b)
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+def assert_scalar_is_array(t, p):
+    """A scalar t gives the bits of the array code at np.array([t])."""
+    ts = np.array([t])
+    with np.errstate(all="ignore"):
+        assert same_bits(exact_squares(t, p), np.ravel(exact_squares(ts, p))), (t, p)
+        one, arr = amplitudes_exact(t, p), amplitudes_exact(ts, p)
+    assert same_bits([one.E, one.G], [arr.E[0], arr.G[0]]), (t, p)
+    assert same_bits(one.R, arr.R[0]), (t, p)
+
+
+class TestScalarRoute:
+    """A Python float t is evaluated on Python complex and float; these
+    bind that spelling of the closed forms to the array one."""
+
+    def test_seeded_sweep_matches_arrays(self):
+        rng = np.random.default_rng(25)
+        for i in range(6000):
+            kappa = (0.0, 1.0, 2.0, rng.uniform(0.0, 5.0))[i % 4]
+            g_eff = 10.0 ** rng.uniform(-3.0, 3.0)
+            if i % 7 == 0 and kappa:    # critical damping and its neighbours
+                g_eff = kappa / 4.0 * (1.0 + (0.0, 1e-9, -1e-9, 1e-15)[i % 4])
+            t = rng.uniform(0.0, (1.0, 50.0, 5000.0)[i % 3])
+            assert_scalar_is_array(t, params_geff(g_eff, kappa))
+
+    def test_every_searched_time_matches_arrays(self, monkeypatch, capsys):
+        seen = []
+
+        def spy(t, p):
+            if np.ndim(t) == 0:
+                seen.append((t, p))
+            return exact_squares(t, p)
+
+        monkeypatch.setattr(events, "exact_squares", spy)
+        assert cli.main(["events", "--geff", "5", "--ratio", "1.5", "--t-max", "3"]) == 0
+        with open("tests/golden/events_strong.csv") as golden:
+            assert capsys.readouterr().out == golden.read()
+        events.dead_window(events.InitialAmplitudes.from_ratio(7.08), params_geff(5.0), 10.0)
+        events.cavity_entangled_intervals(5.0, 1.0 - 1e-5)
+        assert len(seen) > 500
+        for t, p in seen:
+            assert_scalar_is_array(t, p)
+
+    @pytest.mark.parametrize("fn", [amplitudes_exact, exact_squares])
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -1.0, -1])
+    def test_invalid_time_raises_as_arrays(self, fn, t):
+        p = params_geff(0.37)
+        with pytest.raises(ValueError) as scalar:
+            fn(t, p)
+        with pytest.raises(ValueError) as array:
+            fn(np.array([t]), p)
+        assert str(scalar.value) == str(array.value) == "time must be finite and non-negative"
+
+    def test_overflow_takes_the_array_route(self):
+        # cmath overflows where numpy's libm gives inf, and rescales before
+        # that where libm does not: such times are evaluated as arrays
+        p = params_geff(0.01)
+        with pytest.raises(OverflowError):
+            cmath.cos(p.omega_bar * 3000.0)
+        with np.errstate(all="ignore"):
+            assert np.all(np.isnan(exact_squares(3000.0, p)))
+        for t in np.linspace(2830.0, 2850.0, 401):     # |Im x| from 707 to 712
+            assert_scalar_is_array(float(t), p)
+        # x = omega_bar t overflows to inf, where cmath.sin raises ValueError
+        assert_scalar_is_array(1e300, params_geff(1e100))
+
+    def test_no_decay_leaves_no_reservoir(self):
+        p = params_geff(5.0, kappa=0.0)
+        for t in (0.0, 0.3, 1.7, 40.0):
+            assert exact_squares(t, p)[2] == 0.0
+            assert amplitudes_exact(t, p).R == 0.0
 
 
 class TestStrongApproximation:

@@ -295,6 +295,13 @@ class TestExitCodes:
             "amplitude_error,lindblad_error,leakage,tol,passed\n"
             "0.00644641629422,1.1102515215e-06,1.94773819281e-07,0.02,1\n")
 
+    def test_validate_coupling_below_secular_resolution(self, capsys):
+        # the atom's head is deflated, but over t = 10 a coupling of 1e-12
+        # moves the populations by ~1e-22: this exited 2
+        assert main(["validate", "--geff", "1e-12"]) == 0
+        row = capsys.readouterr().out.strip().split("\n")[1].split(",")
+        assert float(row[0]) < 1e-14 and row[-1] == "1"
+
     @pytest.mark.parametrize("argv", [
         ["--geff", "0.1", "--delta-detuning", "1e14"],
         ["--delta-detuning", "3e15", "--tol", "1e6"],

@@ -293,6 +293,17 @@ class TestDiscretizedAgreement:
         else:
             assert discretized_errors(p, d, 10.0)[0] < 0.01
 
+    def test_deflated_head_within_the_horizon_kept(self):
+        # g_eff = 1e-12 is below the floor 8 eps Delta = 1.8e-11, so the
+        # atom's head is deflated; over t = 10 that coupling moves the
+        # populations by ~(g_eff t)^2 = 1e-22, but over t = 1e6 by ~1e-12
+        p = SystemParams.from_geff(1e-12, Delta=1e4)
+        d = ReservoirDiscretization(2000, 200.0)
+        assert np.any(spectrum(p, d)[1][2] == 0.0)
+        assert discretized_errors(p, d, 10.0)[0] < 1e-14
+        with pytest.raises(ConfigError, match="too large for g_eff 1e-12"):
+            discretized_errors(p, d, 1e6)
+
     def test_memory_guard_covers_the_peak(self, monkeypatch):
         asked = []
         monkeypatch.setattr(oracle_module, "require_memory",
