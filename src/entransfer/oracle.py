@@ -55,6 +55,9 @@ class ReservoirDiscretization:
             raise ValueError("n_modes must be non-negative")
         if not (np.isfinite(self.bandwidth) and self.bandwidth > 0):
             raise ValueError("bandwidth must be positive and finite")
+        if self.n_modes and self.spacing == 0.0:
+            raise ValueError(f"bandwidth {self.bandwidth:g} over {self.n_modes} modes "
+                             "underflows the mode spacing to 0")
 
     @property
     def spacing(self):

@@ -43,6 +43,13 @@ SMALL = {
 OUTPUTS = {**{name: [name] + SMALL[name] for name in COMMANDS},
            **{f"figure{n}": ["figure", str(n)]
               + (SMALL["phase-diagram"] if n == 7 else ["--steps", "4"]) for n in FIGURES}}
+# the smallest tables beside OUTPUTS (whose window is the 0,nan,nan,nan row)
+EDGES = {
+    "events-no-rows": ["events", "--geff", "5", "--ratio", "1", "--t-max", "1",
+                       "--pairs", "a1a2"],
+    "phase-diagram-1x1": ["phase-diagram", "--gamma-steps", "1", "--ratio-steps", "1"],
+    "amplitudes-one-interval": ["amplitudes", "--geff", "5", "--steps", "1"],
+}
 
 
 def run(tmp_path, *argv):
@@ -123,6 +130,23 @@ class TestJson:
         data = json.loads(capsys.readouterr().out)
         assert data["columns"] == csv_rows[0]
         assert [[emitted(c) for c in row] for row in data["records"]] == csv_rows[1:]
+
+    @pytest.mark.parametrize("argv", {**OUTPUTS, **EDGES}.values(), ids={**OUTPUTS, **EDGES})
+    def test_json_is_the_indent_2_encoding(self, argv, capsys):
+        # every float round-trips through repr, so re-encoding the decoded
+        # object is an independent reference for the bytes
+        assert main(argv + ["--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    def test_json_out_file_is_the_indent_2_encoding(self, tmp_path, capsys):
+        argv = EDGES["events-no-rows"] + ["--format", "json"]
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        status, out = run(tmp_path, *argv)
+        assert status == 0
+        assert '"records": []' in stdout
+        assert out.read_text() == stdout == json.dumps(json.loads(stdout), indent=2) + "\n"
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ConfigError, match="unknown format 'xml'"):
@@ -230,6 +254,13 @@ class TestExitCodes:
         (["validate", "--tol", "0"], "--tol must be positive"),
         (["validate", "--tol", "-1"], "--tol must be positive"),
         (["validate", "--n-modes", "0"], "--n-modes must be positive"),
+        # these ended in a ZeroDivisionError and an OverflowError traceback
+        (["validate", "--bandwidth", "5e-324"],
+         "bandwidth 4.94066e-324 over 2000 modes underflows the mode spacing to 0"),
+        (["validate", "--kappa", "5e-324"],
+         "bandwidth 9.88131e-322 over 2000 modes underflows the mode spacing to 0"),
+        (["validate", "--t-max", "1.7976931348623157e308"],
+         "--t-max 1.79769e+308 takes more RK4 substeps of 1e-06 than a float holds"),
     ])
     def test_config_error_named(self, argv, message, capsys):
         assert main(argv) == 2

@@ -139,6 +139,11 @@ class TestDiscretization:
             with pytest.raises(ValueError, match="bandwidth"):
                 ReservoirDiscretization(n, bandwidth)
 
+    def test_spacing_must_not_underflow(self):
+        with pytest.raises(ValueError, match="spacing"):
+            ReservoirDiscretization(2000, 5e-324)
+        assert ReservoirDiscretization(1, 5e-324).spacing == 5e-324
+
     def test_offsets_symmetric(self):
         for n in (3, 4, 101):
             d = ReservoirDiscretization(n_modes=n, bandwidth=10.0)
