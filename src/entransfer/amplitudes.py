@@ -7,21 +7,16 @@ oscillates between the atomic excited state and the cavity photon at the
 effective Raman rate g_eff = g * Omega / Delta while leaking irreversibly
 into the reservoir.
 
-``amplitudes_exact`` gives the amplitudes E (atom), G (cavity) and R
-(reservoir, real and non-negative) for arbitrary damping; the strong- and
-weak-coupling approximations return the squared magnitudes directly.
+``amplitudes_exact`` gives the amplitudes E (atom, real), G (cavity,
+imaginary) and R (reservoir, real and non-negative) for arbitrary damping;
+the strong- and weak-coupling approximations return the squared
+magnitudes directly.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
-
-# past |Im x| = log(DBL_MAX / 4) = 708.4 cmath rescales cos and sin (and
-# raises OverflowError from 710.5 on) where numpy's libm does not
-_CMATH_AS_LIBM = 708.0
-
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -67,8 +62,8 @@ class SystemParams:
 
     @property
     def omega_bar(self):
-        """Damped Rabi frequency, kept complex so the overdamped branch
-        continues analytically (4 omega_bar^2 = 4 g_eff^2 - kappa^2 / 4)."""
+        """Damped Rabi frequency (4 omega_bar^2 = 4 g_eff^2 - kappa^2 / 4):
+        real when underdamped, imaginary when overdamped."""
         if max(self.g_eff, self.kappa) < 1e154:
             return np.sqrt(complex(self.g_eff**2 - self.kappa**2 / 16.0))
         # the squares would overflow: scale both rates by the larger
@@ -133,91 +128,70 @@ def _check_grid(grid):
 
 
 def _squares(e, g, decays):
-    """(|E|^2, |G|^2, R^2) of the amplitudes e, g; a scalar gives the bits
-    of the same value in an array.  E is real and G imaginary (omega_bar
-    is real or imaginary), so abs() is exact on either branch.  A scalar
-    squares as abs(e) * abs(e), an array by np.square: x ** 2 of a numpy
-    scalar is pow(), which misrounds about one square in a thousand that
-    the product gets exactly.  R^2 = 1 - (|E|^2 + |G|^2), clipped at 0 so
-    that NaN passes, rounds the non-increasing sum once, so it never
-    decreases; 1 - |E|^2 - |G|^2 fell by an ulp at about 4 points in 10^4
-    once R^2 neared 1.  Without decay (``decays`` false, kappa = 0) R^2 is
-    exactly 0: 1 - the sum is then rounding noise of up to 2e-16, which
-    reads as a live reservoir."""
-    if isinstance(e, complex):
-        e2 = abs(e) * abs(e)
-        g2 = abs(g) * abs(g)
+    """(|E|^2, |G|^2, R^2) of the real e = E and g = G / i; a scalar
+    squares as e * e, the bits of np.square on an array, where x ** 2 of
+    a numpy scalar, pow(), misrounds about one square in a thousand.
+    R^2 = 1 - (|E|^2 + |G|^2), clipped at 0 so that NaN passes, rounds
+    the non-increasing sum once, so it never decreases; 1 - |E|^2 - |G|^2
+    fell by an ulp at about 4 points in 10^4 once R^2 neared 1.  Without
+    decay (``decays`` false, kappa = 0) R^2 is exactly 0: 1 - the sum is
+    then rounding noise of up to 2e-16, which reads as a live reservoir."""
+    if isinstance(e, float):
+        e2, g2 = e * e, g * g
         r2 = 1.0 - (e2 + g2) if decays else 0.0
         return e2, g2, 0.0 if r2 < 0.0 else r2
-    e2 = np.square(np.abs(e))
-    g2 = np.square(np.abs(g))
+    e2, g2 = np.square(e), np.square(g)
     if not decays:
         return e2, g2, np.zeros_like(e2)
     return e2, g2, np.clip(1.0 - (e2 + g2), 0.0, None)
 
 
-def _divide(a, b):
-    """a / b for complex b != 0 by Smith's algorithm, in numpy's operations:
-    Python's own complex division rounds sin(x) / omega_bar differently at
-    over a quarter of the points of a seeded sweep."""
-    if abs(b.real) >= abs(b.imag):
-        rat = b.imag / b.real
-        scl = 1.0 / (b.real + b.imag * rat)
-        return complex((a.real + a.imag * rat) * scl, (a.imag - a.real * rat) * scl)
-    rat = b.real / b.imag
-    scl = 1.0 / (b.imag + b.real * rat)
-    return complex((a.real * rat + a.imag) * scl, (a.imag * rat - a.real) * scl)
-
-
 def _eg(t, p):
-    """E and G at time(s) t; array-aware.
+    """E and G / i at time(s) t, both real; array-aware.
 
-    A Python float or int t is evaluated on Python complex and float, at
-    a sixth of the cost of numpy's 0-d arrays, in the same IEEE operations
-    as the array code, so it gives the bits of ``_eg(np.array([t]), p)``
-    (``TestScalarRoute`` holds the two to that): cmath.sin and cos agree
-    with the libm functions numpy calls; the division is ``_divide``,
-    numpy's Smith algorithm; the damping keeps np.exp, from which
-    math.exp differs at ~5% of points; one factor of every complex
-    product is real or imaginary, so numpy's fused complex multiply
-    rounds as Python's does.  NaN, infinite and negative t, and x =
-    omega_bar t past cmath's agreement with libm (|Im x| >= 708, from the
-    overdamped kappa t ~ 2840 on, where the array code overflows to NaN,
-    or Re x infinite), take the array code below.
+    With rate = Re omega_bar if positive, else Im omega_bar, and x =
+    rate t, cos(omega_bar t) is cos(x) or cosh(x), and sin(omega_bar t) /
+    omega_bar is sin(x) or sinh(x) times 1 / rate, or t where |x| < 1e-12
+    (every t at critical damping, where rate = 0).  A Python float or int
+    t runs on Python floats at a third of the cost of a 0-d array, in the
+    array code's IEEE operations, so it gives the bits of
+    ``_eg(np.array([t]), p)`` (``TestScalarRoute`` holds it to that):
+    math.sin and cos agree with numpy's, while math.cosh, sinh and exp
+    differ at 1-27% of points, so those stay numpy's.  NaN, infinite and
+    negative t, and an infinite x, where math.sin raises, take the arrays.
     """
+    ob = p.omega_bar
+    under = ob.real > 0.0
+    rate = float(ob.real if under else ob.imag)
+    inv = 1.0 / rate if rate else 0.0
     if isinstance(t, (float, int)) and 0.0 <= t < math.inf:
         t = float(t)
-        ob = complex(p.omega_bar)
-        x = ob * t
-        if abs(x.imag) < _CMATH_AS_LIBM and abs(x.real) < math.inf:
-            sinc = complex(t) if abs(x) < 1e-12 else _divide(cmath.sin(x), ob)
-            damp = np.exp(-p.kappa * t / 4.0)
-            e = (cmath.cos(x) + (p.kappa / 4.0) * sinc) * damp
-            return e, 1j * p.g_eff * sinc * damp
+        x = rate * t
+        if abs(x) < math.inf:
+            c, s = (math.cos(x), math.sin(x)) if under else (float(np.cosh(x)), float(np.sinh(x)))
+            s = t if abs(x) < 1e-12 else s * inv
+            damp = float(np.exp(-p.kappa * t / 4.0))
+            return (c + p.kappa / 4.0 * s) * damp, p.g_eff * s * damp
     t = _check_time(t)
-    ob = p.omega_bar
-    # sin(x)/x limit at critical damping
-    x = ob * t
-    small = np.abs(x) < 1e-12
-    sinc = np.where(small, t, np.sin(np.where(small, 1.0, x)) / np.where(small, 1.0, ob))
+    x = rate * t
+    c, s = (np.cos(x), np.sin(x)) if under else (np.cosh(x), np.sinh(x))
+    s = np.where(np.abs(x) < 1e-12, t, s * inv)
     damp = np.exp(-p.kappa * t / 4.0)
-    e = (np.cos(x) + (p.kappa / 4.0) * sinc) * damp
-    g = 1j * p.g_eff * sinc * damp
-    return e, g
+    return (c + p.kappa / 4.0 * s) * damp, p.g_eff * s * damp
 
 
 def amplitudes_exact(t, p):
     """Exact amplitudes at time ``t`` (scalar or array).
 
-    The overdamped regime 4 g_eff^2 < kappa^2 / 4 is handled by the
-    analytic continuation of cos/sin to hyperbolic functions via the
-    complex omega_bar; magnitudes stay real either way.
+    E is real and G imaginary in every regime; the overdamped one
+    (4 g_eff^2 < kappa^2 / 4) continues cos and sin to cosh and sinh.
     """
     e, g = _eg(t, p)
     r2 = _squares(e, g, p.kappa > 0)[2]
-    if isinstance(e, complex):
-        return AmplitudeTriple(E=complex(e), G=complex(g), R=math.sqrt(r2))
-    return AmplitudeTriple(E=e, G=g, R=np.sqrt(r2))
+    if isinstance(e, float):
+        return AmplitudeTriple(E=complex(e), G=1j * g, R=math.sqrt(r2))
+    # astype keeps the sign of a zero E, which e + 0j would drop
+    return AmplitudeTriple(E=e.astype(complex), G=1j * g, R=np.sqrt(r2))
 
 
 def exact_squares(t, p):

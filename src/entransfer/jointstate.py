@@ -72,7 +72,7 @@ def _pair_amplitude(pair, amps):
         raise ValueError(f"no closed form for pair {pair!r}")
     k = DIAGONAL_PAIRS.index(pair)
     # R is 0 exactly where R^2 is, at every t without decay
-    x2 = _squares(amps.E, amps.G, amps.R > 0.0)[k]
+    x2 = _squares(amps.E.real, amps.G.imag, amps.R > 0.0)[k]
     return complex((amps.E, amps.G, amps.R)[k]), float(x2)
 
 

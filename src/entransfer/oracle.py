@@ -438,7 +438,7 @@ def lindblad_max_error(p, grid):
     {|e0>, |g1>, |g0>} from the closed-form single-chain matrix."""
     rhos = lindblad_evolve(p, grid)
     amps = amplitudes_exact(np.asarray(grid, dtype=float), p)
-    e2, g2, r2 = _squares(amps.E, amps.G, p.kappa > 0)
+    e2, g2, r2 = _squares(amps.E.real, amps.G.imag, p.kappa > 0)
     return float(max(
         np.max(np.abs(rhos[:, IDX_E0, IDX_E0].real - e2)),
         np.max(np.abs(rhos[:, IDX_G1, IDX_G1].real - g2)),

@@ -1,6 +1,8 @@
 """CLI tests: determinism, golden files, serialization, exit codes."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
@@ -13,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import entransfer
 from entransfer import cli, errors
@@ -534,7 +538,8 @@ class TestMisc:
         # the reference route loaded
         src = os.path.dirname(os.path.dirname(entransfer.__file__))
         code = (f"import sys; sys.path.insert(0, {src!r}); import entransfer.cli; "
-                "loaded = {'scipy', 'entransfer.jointstate', 'entransfer.qops'} & set(sys.modules); "
+                "loaded = {'scipy', 'cmath', 'entransfer.jointstate', 'entransfer.qops'} "
+                "& set(sys.modules); "
                 "assert not loaded, loaded")
         subprocess.run([sys.executable, "-I", "-c", code], check=True, timeout=120)
 
@@ -773,3 +778,57 @@ class TestOut:
         reader.join(timeout=30)
         assert stat.S_ISFIFO(fifo.lstat().st_mode)
         assert got == [self.expected(tmp_path)]
+
+
+# edge values of the fuzzed flags, by argparse type.  Sizes are bounded so
+# that each call takes under about 0.15 s: counts stop at 40, so no grid,
+# mode set or phase diagram is large, and no time or rate lies between 60
+# and 1e12, where the events and window scans are large but still pass
+# their memory guards (events --geff 1e5 --kappa 0.249999999 takes about
+# 4 s); from 1e12 on the guards reject a scan from its size estimate.
+FUZZ_FLOATS = ["0", "-0", "-1", "5e-324", "1e-300", "0.24999999999999997", "0.25",
+               "0.25000000000000006", "0.5", "0.999", "1", "5", "60", "1e12", "1e154",
+               "1e155", "1.7976931348623157e308", "nan"]
+FUZZ_COUNTS = ["-1", "0", "1", "2", "40"]
+FUZZ_TEXT = {"pairs": ["a1a2", "c1c2,r1r2", "a1c2,a1r2,c1r2", "a1c1", "x", ","]}
+
+
+def fuzz_values(dest):
+    options = cli.FLAGS[dest]
+    if "choices" in options:
+        return list(options["choices"])
+    return {cli._finite: FUZZ_FLOATS, int: FUZZ_COUNTS}.get(options.get("type")) or FUZZ_TEXT[dest]
+
+
+@st.composite
+def fuzz_argv(draw):
+    """A subcommand or figure preset with 1-3 of its own flags at edge values."""
+    head = draw(st.sampled_from([[c] for c in COMMANDS] + [["figure", str(n)] for n in FIGURES]))
+    own = COMMANDS[head[0]] if len(head) == 1 else FIGURES[int(head[1])][1]
+    argv = list(head)
+    for dest in draw(st.lists(st.sampled_from(sorted(own)), min_size=1, max_size=3, unique=True)):
+        argv.append(f"--{dest.replace('_', '-')}={draw(st.sampled_from(fuzz_values(dest)))}")
+    return argv
+
+
+class TestArgvFuzz:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(argv=fuzz_argv())
+    def test_exit_status_and_output(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                status = main(argv)
+            except SystemExit as exc:      # argparse's own exit 2
+                status = exc.code
+        assert status in (0, 2, 3), argv
+        if status == 2:
+            assert [line for line in err.getvalue().splitlines() if "error: " in line] \
+                == err.getvalue().splitlines()[-1:], argv
+        if status == 0:
+            rows = out.getvalue().splitlines()[1:]
+            cells = [c for row in rows if row != "0,nan,nan,nan" or argv[0] != "window"
+                     for c in row.split(",")]
+            assert not [c for c in cells if c.lower().lstrip("+-") in ("nan", "inf")], argv

@@ -318,9 +318,13 @@ class TestConcurrenceSeries:
                 assert np.max(np.abs(series - np.array(brute))) < 1e-12, (gamma, pair)
 
     def test_finite_where_a_square_rounds_above_one(self):
-        # |E|^2 = 1 + 4e-16 here; (1 - |E|^2)(1 - |G|^2) must not give NaN
+        # |E|^2 rounds to 1 + 4e-16 at a few per cent of these early times;
+        # (1 - |E|^2)(1 - |G|^2) must not give NaN at the first of them
         p = SystemParams.from_geff(0.05)
-        grid = np.array([0.0, 6.102942482766755e-08])
+        ts = np.linspace(1e-8, 1e-7, 2001)
+        above = ts[exact_squares(ts, p)[0] > 1.0]
+        assert above.size
+        grid = np.array([0.0, above[0]])
         assert exact_squares(grid, p)[0][1] > 1.0
         init = InitialAmplitudes.from_ratio(1.5)
         for pair in ("a1c2", "a1r2", "a1a2"):
