@@ -50,9 +50,9 @@ class SystemParams:
     def delta(self):
         """Stark-compensating two-photon detuning (g^2 - Omega^2) / Delta."""
         s = max(self.g, self.Omega)
-        if s < 1e154:
+        if 1e-154 < s < 1e154:
             return (self.g**2 - self.Omega**2) / self.Delta
-        # the squares would overflow: scale both couplings by the larger
+        # the squares would overflow or underflow: scale both couplings by the larger
         return ((self.g / s)**2 - (self.Omega / s)**2) * s / self.Delta * s
 
     @property
@@ -64,9 +64,10 @@ class SystemParams:
     def omega_bar(self):
         """Damped Rabi frequency (4 omega_bar^2 = 4 g_eff^2 - kappa^2 / 4):
         real when underdamped, imaginary when overdamped."""
-        if max(self.g_eff, self.kappa) < 1e154:
+        m = max(self.g_eff, self.kappa)     # 0 where g_eff underflowed at kappa = 0
+        if 1e-154 < m < 1e154 or m <= 0.0:
             return np.sqrt(complex(self.g_eff**2 - self.kappa**2 / 16.0))
-        # the squares would overflow: scale both rates by the larger
+        # the squares would overflow or underflow: scale both rates by the larger
         s = max(self.g_eff, self.kappa / 4.0)
         return s * np.sqrt(complex((self.g_eff / s)**2 - (self.kappa / 4.0 / s)**2))
 
@@ -92,6 +93,8 @@ class SystemParams:
             raise ValueError("g_eff must be positive")
         if Delta is None:
             Delta = 500.0 * (kappa if kappa > 0 else 1.0)
+        if g_eff * Delta == 0:
+            raise ValueError(f"g_eff {g_eff:g} times Delta {Delta:g} underflows to 0")
         g = np.sqrt(g_eff * Delta)
         return cls(g=g, Omega=g, Delta=Delta, kappa=kappa)
 

@@ -395,8 +395,9 @@ def _liouvillian(p):
 
 
 def _lindblad_step(p):
-    """The internal step of ``lindblad_evolve``."""
-    return 0.01 / max(p.kappa, abs(p.omega_bar), abs(p.Delta))
+    """The internal step of ``lindblad_evolve``, a Python float, so that a
+    horizon over it overflows to inf without a numpy warning."""
+    return 0.01 / float(max(p.kappa, abs(p.omega_bar), abs(p.Delta)))
 
 
 def lindblad_evolve(p, grid):
@@ -406,10 +407,14 @@ def lindblad_evolve(p, grid):
     at each grid time.  The internal step is 0.01 / max(kappa,
     |omega_bar|, |Delta|); because the generator is linear and constant,
     the fixed-step RK4 update is the degree-4 Taylor polynomial of the
-    exact propagator, applied once per substep.
+    exact propagator, applied once per substep.  A horizon of more substeps
+    than a float holds raises ValueError.
     """
     grid = _check_grid(grid)
     step = _lindblad_step(p)
+    if not math.isfinite(float(grid[-1]) / step):
+        raise ValueError(f"horizon {grid[-1]:g} takes more RK4 substeps of "
+                         f"{step:.3g} than a float holds")
     lv = _liouvillian(p)
     term = rk4 = np.eye(16, dtype=complex)
     for k in (1, 2, 3, 4):

@@ -47,17 +47,6 @@ def validate_density_matrix(rho, dim=None):
     return rho
 
 
-def _resolve_keep(keep, n):
-    if isinstance(keep, str):
-        keep = {"A": 0, "B": 1}[keep]
-    if np.isscalar(keep):
-        keep = (int(keep),)
-    keep = tuple(int(k) for k in keep)
-    if any(k < 0 or k >= n for k in keep) or len(set(keep)) != len(keep):
-        raise ValueError(f"invalid subsystem selection {keep} for {n} factors")
-    return keep
-
-
 def partial_trace(rho, dims, keep):
     """Trace out all tensor factors except ``keep``.
 
@@ -65,15 +54,17 @@ def partial_trace(rho, dims, keep):
     ----------
     rho : (D, D) array with D = prod(dims)
     dims : dimensions of the tensor factors, e.g. (2, 2) or (2,)*6
-    keep : factor index, sequence of indices, or "A"/"B" for bipartite input.
-        The order of ``keep`` fixes the factor order of the result.
+    keep : sequence of distinct factor indices; its order fixes the factor
+        order of the result.
     """
     rho = _as_square(rho)
     dims = tuple(int(d) for d in dims)
     n = len(dims)
     if int(np.prod(dims)) != rho.shape[0]:
         raise ValueError(f"dims {dims} inconsistent with matrix of size {rho.shape[0]}")
-    keep = _resolve_keep(keep, n)
+    keep = tuple(int(k) for k in keep)
+    if any(k < 0 or k >= n for k in keep) or len(set(keep)) != len(keep):
+        raise ValueError(f"invalid subsystem selection {keep} for {n} factors")
 
     t = rho.reshape(dims + dims)
     row = list(range(n))
@@ -85,21 +76,16 @@ def partial_trace(rho, dims, keep):
 
 
 def partial_transpose(rho, dims, subsystem):
-    """Transpose the indices of one factor of a bipartite operator."""
+    """Transpose the indices of factor ``subsystem`` (0 or 1) of a
+    bipartite operator."""
     rho = _as_square(rho)
     da, db = int(dims[0]), int(dims[1])
     if da * db != rho.shape[0]:
         raise ValueError(f"dims {dims} inconsistent with matrix of size {rho.shape[0]}")
-    if isinstance(subsystem, str):
-        subsystem = {"A": 0, "B": 1}[subsystem]
-    t = rho.reshape(da, db, da, db)
-    if subsystem == 0:
-        t = t.transpose(2, 1, 0, 3)
-    elif subsystem == 1:
-        t = t.transpose(0, 3, 2, 1)
-    else:
-        raise ValueError(f"subsystem must be 0/'A' or 1/'B', got {subsystem}")
-    return t.reshape(da * db, da * db)
+    if subsystem not in (0, 1):
+        raise ValueError(f"subsystem must be 0 or 1, got {subsystem!r}")
+    axes = (2, 1, 0, 3) if subsystem == 0 else (0, 3, 2, 1)
+    return rho.reshape(da, db, da, db).transpose(axes).reshape(da * db, da * db)
 
 
 def _psd_sqrt(rho):

@@ -98,6 +98,14 @@ class TestSystemParams:
         p = SystemParams(g=2e200, Omega=1e200, Delta=1e300)
         assert p.delta == pytest.approx(3e100, rel=1e-14)
 
+    def test_squares_that_underflow(self):
+        # g_eff^2 rounds to 0 below about 1.5e-162; g^2 is subnormal below 1.5e-154
+        p = params_geff(1e-165, kappa=0.0)
+        assert p.omega_bar == p.g_eff
+        assert SystemParams(g=1e-200, Omega=1e-200, Delta=1.0, kappa=0.0).omega_bar == 0.0
+        p = SystemParams(g=2e-160, Omega=1e-160, Delta=1e-300)
+        assert p.delta == pytest.approx(3e-20, rel=1e-14)
+
     def test_gamma_infinite_without_decay(self):
         p = SystemParams(g=50.0, Omega=50.0, Delta=500.0, kappa=0.0)
         assert p.gamma == np.inf
@@ -209,6 +217,20 @@ class TestExactAmplitudes:
         g_eff = kappa / 4.0 if critical and kappa else np.exp(log_geff)
         e2, g2, _ = exact_squares(np.array(ts), params_geff(g_eff, kappa, Delta=1e5))
         assert np.max(e2 + g2) - 1.0 <= 1e-12
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(g_eff=st.floats(0.01, 20.0), kappa=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+           t=st.floats(0.0, 60.0), data=st.data())
+    def test_squares_invariant_under_rate_scaling(self, g_eff, kappa, t, data):
+        # rates times s = 2^k and time over s leave omega_bar t and kappa t
+        # as they are; from_geff's Delta = 500 kappa s keeps g_eff Delta
+        # normal only down to k = -500 with decay
+        k = data.draw(st.integers(-1000 if kappa == 0.0 else -500, 500), label="k")
+        s = 2.0**k
+        p = params_geff(g_eff, kappa)
+        unit = 8.0 * np.finfo(float).eps * (1.0 + abs(p.omega_bar) * t)
+        scaled = exact_squares(t / s, params_geff(s * g_eff, s * kappa))
+        assert np.all(np.abs(np.subtract(scaled, exact_squares(t, p))) <= unit)
 
     def test_decay_only_limit(self):
         # deep overdamping: the excitation decays at rate 4 gamma^2 kappa

@@ -265,6 +265,9 @@ class TestExitCodes:
          "bandwidth 9.88131e-322 over 2000 modes underflows the mode spacing to 0"),
         (["validate", "--t-max", "1.7976931348623157e308"],
          "--t-max 1.79769e+308 takes more RK4 substeps of 1e-06 than a float holds"),
+        # this said "g and Omega must be positive"
+        (["amplitudes", "--geff", "1e-170", "--kappa", "1e-170"],
+         "g_eff 1e-170 times Delta 5e-168 underflows to 0"),
     ])
     def test_config_error_named(self, argv, message, capsys):
         assert main(argv) == 2

@@ -476,6 +476,10 @@ class TestLindblad:
         with pytest.raises(ValueError, match="grid must be finite"):
             lindblad_evolve(self.P, grid)
 
+    def test_substep_count_overflow_rejected(self):
+        with pytest.raises(ValueError, match=r"horizon 1\.79769e\+308 .* substeps of 1e-07"):
+            lindblad_evolve(self.P, np.array([np.finfo(float).max]))
+
     def test_matches_closed_forms(self):
         grid = np.linspace(0.2, 10.0, 50)
         assert lindblad_max_error(self.P, grid) < 1e-3
