@@ -180,8 +180,8 @@ class TestValidateDensityMatrix:
     (qops.partial_trace, (np.eye(4) / 4.0, (2, 3), (0,)), "inconsistent"),
     (qops.partial_transpose, (np.eye(4) / 4.0, (2, 3), 0), "inconsistent"),
     (qops.partial_transpose, (np.eye(4) / 4.0, (2, 2), 2), "subsystem must be"),
-    (qops.partial_transpose, (np.eye(4) / 4.0, (2, 2), "B"), "subsystem must be"),
     (qops.i_concurrence, (bell_state(), (2, 3)), "inconsistent"),
+    (qops.partial_transpose, (np.eye(4) / 4.0, (2, 2), "B"), "subsystem must be"),
 ])
 def test_rejects_malformed_input(fn, args, match):
     with pytest.raises(ValueError, match=match):
