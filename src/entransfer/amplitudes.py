@@ -14,9 +14,14 @@ magnitudes directly.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
+
+# below this smallest normal float a product keeps too few bits
+_NORMAL_MIN = sys.float_info.min
+
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -58,7 +63,10 @@ class SystemParams:
     @property
     def g_eff(self):
         """Effective Raman coupling g * Omega / Delta."""
-        return self.g * self.Omega / self.Delta
+        g_omega = self.g * self.Omega
+        if g_omega < _NORMAL_MIN:
+            return self.g * (self.Omega / self.Delta)
+        return g_omega / self.Delta
 
     @property
     def omega_bar(self):
@@ -93,9 +101,10 @@ class SystemParams:
             raise ValueError("g_eff must be positive")
         if Delta is None:
             Delta = 500.0 * (kappa if kappa > 0 else 1.0)
-        if g_eff * Delta == 0:
+        g_delta = g_eff * Delta
+        if g_delta == 0:
             raise ValueError(f"g_eff {g_eff:g} times Delta {Delta:g} underflows to 0")
-        g = np.sqrt(g_eff * Delta)
+        g = np.sqrt(g_delta) if g_delta >= _NORMAL_MIN else np.sqrt(g_eff) * np.sqrt(Delta)
         return cls(g=g, Omega=g, Delta=Delta, kappa=kappa)
 
 

@@ -170,7 +170,7 @@ DIAGONAL = ",".join(DIAGONAL_PAIRS)
 COMMANDS = {
     "amplitudes": dict(CHAIN, t_max=10.0, steps=500, regime="exact"),
     "concurrence": dict(STATE, t_max=10.0, steps=500, pairs=DIAGONAL),
-    "events": dict(STATE, t_max=10.0, steps=None, pairs=DIAGONAL),
+    "events": dict(STATE, t_max=10.0, pairs=DIAGONAL),
     "window": dict(STATE, t_max=60.0),
     "phase-diagram": dict(gamma_min=0.05, gamma_max=1.0, gamma_steps=20,
                           ratio_min=0.80, ratio_max=0.999, ratio_steps=21),
@@ -290,10 +290,8 @@ def cmd_events(args):
     init = InitialAmplitudes.from_ratio(args.ratio)
     pairs = _resolve_pairs(args)
     # the detection grids' size check, naming the flag that sets their cells
-    flag = f"--t-max {args.t_max:g}" if args.steps is None else f"--steps {args.steps:g}"
-    _detection_cells(p, args.t_max, args.steps, what=flag)
-    found = [ev for pair in pairs
-             for ev in detect_events(pair, init, p, args.t_max, n_points=args.steps)]
+    _detection_cells(p, args.t_max, what=f"--t-max {args.t_max:g}")
+    found = [ev for pair in pairs for ev in detect_events(pair, init, p, args.t_max)]
     data = ([ev.kind for ev in found], [ev.pair for ev in found],
             [ev.time for ev in found])
     cfg = _base_config(args, p, init, pairs=",".join(pairs), t_max=args.t_max)

@@ -14,9 +14,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ._roots import brentq
+from ._roots import RTOL, brentq
 from .amplitudes import SystemParams, _check_grid, exact_squares
-from .errors import ConfigError, require_memory
+from .errors import require_memory
 
 # bench/spans.py wraps events.brentq and events.minimize_scalar by name; the
 # next benchmark revision (ROADMAP item 1) traces brentq alone and deletes this
@@ -145,9 +145,9 @@ def concurrence_series(pair, init, p, grid):
     return 2.0 * init.beta**2 * np.sqrt(x2 * y2)
 
 
-def _detection_cells(p, horizon, n_points, what=None):
-    """Cell count of the detection grid on [0, horizon]: ``n_points``, or by
-    default POINTS_PER_PERIOD per Rabi period and at least MIN_CELLS.
+def _detection_cells(p, horizon, what=None):
+    """Cell count of the dense detection grid on [0, horizon]:
+    POINTS_PER_PERIOD per Rabi period and at least MIN_CELLS.
 
     Raises ValueError unless the horizon is positive and finite, and
     ConfigError, before anything is allocated, if the grid would not fit in
@@ -155,44 +155,80 @@ def _detection_cells(p, horizon, n_points, what=None):
     horizon)."""
     if not (np.isfinite(horizon) and horizon > 0):
         raise ValueError("horizon must be positive and finite")
-    if n_points is not None and n_points < 1:
-        raise ValueError(f"the detection grid needs at least 1 cell, got {n_points}")
     period = 2.0 * np.pi / p.omega_bar.real if p.omega_bar.real > 0 else np.inf
-    needed = np.ceil(POINTS_PER_PERIOD * horizon / period)
-    n = max(MIN_CELLS, needed) if n_points is None else n_points
-    if n < needed:
-        raise ConfigError(
-            f"{n} grid points is too coarse for oscillation period {period:.3g}; "
-            f"need at least {needed:.0f}")
+    n = max(MIN_CELLS, np.ceil(POINTS_PER_PERIOD * horizon / period))
     # n may be a float too large (inf included) for any grid
     require_memory((n + 1.0) * GRID_POINT_BYTES,
                    what or f"a detection grid of {n:g} cells on horizon {horizon:g}")
     return int(n)
 
 
-def detect_events(pair, init, p, horizon, n_points=None):
+def _margin_rounding(init):
+    """What ``_cross_margin`` may round to near 0: 8 eps of its terms there,
+    beta^2 - alpha^2 where q > 1/2 and alpha elsewhere, or of the smaller.
+    Where it touches 0 (a1c2 at kappa = 0 and beta = 2 alpha, at each peak
+    of |E|^2 |G|^2) it reads up to eps / 2, on either side of 0."""
+    a, b = init.alpha, init.beta
+    return 8.0 * np.finfo(float).eps * min(abs((b - a) * (b + a)), a)
+
+
+def _split_opposed(pair, init, p, ts):
+    """Sorted ``ts``, on whose cells the pair's squares x^2, y^2 are
+    monotone, with each cell cut in 16, again and again, while it is wider
+    than brentq's tolerance 1e-8 + RTOL t and M = beta^2 (1 - x^2)(1 - y^2)
+    - alpha^2 may cross 0 twice in it, up to rounding.  That needs x^2 and
+    y^2 to move apart (else M is monotone), M at the cell's larger and
+    smaller squares to straddle 0, and M within 3/4 (beta A h)^2 of 0 at an
+    end of the width-h cell, as E' = -g_eff G/i and (G/i)' = g_eff E -
+    kappa G/2i bound each square's slope by A = g_eff + kappa and its
+    curvature by 2 A^2, so |M''| <= 6 (beta A)^2.  For x = y, no cut."""
+    i, j = ("acr".index(pair[k]) for k in (0, 2))
+    if i == j:
+        return ts
+    a, b = init.alpha, init.beta
+    bend = 0.75 * (b * (p.g_eff + p.kappa))**2
+    cut, t = [ts], ts
+    while t.size:
+        squares = np.asarray(_finite(exact_squares(t, p), ts[-1]))
+        lower = _cross_margin(pair, init, np.maximum(squares[..., :-1], squares[..., 1:]))[0]
+        upper = _cross_margin(pair, init, np.minimum(squares[..., :-1], squares[..., 1:]))[0]
+        m = np.abs(b * b * (1.0 - squares[i]) * (1.0 - squares[j]) - a * a)
+        step, h = np.diff(squares), np.diff(t)
+        split = ((step[i] * step[j] < 0.0) & (lower < 0.0) & (upper >= 0.0)
+                 & (np.minimum(m[..., :-1], m[..., 1:]) <= bend * h * h)
+                 & (h > 1e-8 + RTOL * t[..., 1:]))
+        t = np.linspace(t[..., :-1][split], t[..., 1:][split], 17, axis=-1)
+        cut.append(t.ravel())
+    return np.unique(np.concatenate(cut))
+
+
+def detect_events(pair, init, p, horizon):
     """ESD/ESB/ESR events on [0, horizon] of a pair on different chains
     (same-chain pairs, C = 2 beta^2 |x y|, only touch zero).
 
-    The ``_cross_margin`` sign is read at t = 0 and at the live points of a
-    grid of ``n_points`` cells (default: POINTS_PER_PERIOD per Rabi period,
-    at least MIN_CELLS), and each change is refined by brentq to 1e-8 in
-    time: an ESD, or an ESB the first time and an ESR afterwards; an ESB at
-    0 if C(0) = 0 < C just after.  ``_lattice`` splits the cells of a1a2,
-    c1c2 and r1r2 so that none holds two crossings; two crossings of a mixed
-    pair (a1c2, ...) in one cell can go unseen.  Non-finite amplitudes raise
-    ValueError."""
+    The ``_cross_margin`` sign is read at t = 0 and at the live points of
+    ``_lattice``, cut by ``_split_opposed`` so that no cell holds two
+    crossings farther apart than 1e-8, and each change is refined by brentq
+    to 1e-8 in time: an ESD, or an ESB the first time and an ESR afterwards;
+    an ESB at 0 if C(0) = 0 < C just after.  A margin within
+    ``_margin_rounding`` of 0 has no sign, so a touch of 0 is no event.  For
+    a1a2, c1c2 and r1r2 the lattice is joined with a dense grid of
+    ``_detection_cells``, which sets the last digits of their times.
+    Non-finite amplitudes raise ValueError, and a dense grid past physical
+    memory ConfigError, for every pair."""
     if pair not in PAIR_LABELS or pair[1] == pair[3]:
         raise ValueError(f"event detection takes a pair on different chains "
                          f"(a1a2, a1c2, ...), got {pair!r}")
-    grid = np.linspace(0.0, horizon, _detection_cells(p, horizon, n_points) + 1)
+    cells = _detection_cells(p, horizon)     # the size check for every pair
+    grid = _split_opposed(pair, init, p, _lattice(p, horizon))
     if pair in DIAGONAL_PAIRS:
-        grid = np.union1d(grid, _lattice(p, horizon))
+        grid = np.union1d(np.linspace(0.0, horizon, cells + 1), grid)
     squares = _finite(exact_squares(grid, p), horizon)
     g, (margin, live) = _cross_pair(pair, init, squares), _cross_margin(pair, init, squares)
     # C(0) = 0 for all pairs but a1a2; the margin at t = 0 is the sign just
     # after, so a pair is born at 0 only if it is live at a later point
     born, live[0] = not live[0] and live[1:].any(), init.beta > 0.0
+    live[1:] &= np.abs(margin[1:]) > _margin_rounding(init)
     live = np.flatnonzero(live)
     entangled = margin[live] < 0.0
     g_at = lambda t: _cross_pair(pair, init, exact_squares(t, p))

@@ -106,6 +106,15 @@ class TestSystemParams:
         p = SystemParams(g=2e-160, Omega=1e-160, Delta=1e-300)
         assert p.delta == pytest.approx(3e-20, rel=1e-14)
 
+    def test_geff_where_geff_delta_is_subnormal(self):
+        # g_eff Delta = 5e-318 holds 20 significant bits: g = sqrt(g_eff Delta)
+        # gave g_eff = 9.999997e-161 and |E|^2 1e-7 high at g_eff t = 1/2
+        p = params_geff(1e-160, kappa=1e-160)
+        assert p.g_eff == 1e-160
+        unit = 8.0 * np.finfo(float).eps * (1.0 + abs(params_geff(1.0).omega_bar) * 0.5)
+        assert np.all(np.abs(np.subtract(exact_squares(5e159, p),
+                                         exact_squares(0.5, params_geff(1.0)))) <= unit)
+
     def test_gamma_infinite_without_decay(self):
         p = SystemParams(g=50.0, Omega=50.0, Delta=500.0, kappa=0.0)
         assert p.gamma == np.inf
@@ -224,8 +233,8 @@ class TestExactAmplitudes:
     def test_squares_invariant_under_rate_scaling(self, g_eff, kappa, t, data):
         # rates times s = 2^k and time over s leave omega_bar t and kappa t
         # as they are; from_geff's Delta = 500 kappa s keeps g_eff Delta
-        # normal only down to k = -500 with decay
-        k = data.draw(st.integers(-1000 if kappa == 0.0 else -500, 500), label="k")
+        # above 0 only down to k = -530 with decay, subnormal from about -510
+        k = data.draw(st.integers(-1000 if kappa == 0.0 else -530, 500), label="k")
         s = 2.0**k
         p = params_geff(g_eff, kappa)
         unit = 8.0 * np.finfo(float).eps * (1.0 + abs(p.omega_bar) * t)

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq as scipy_brentq
 
@@ -136,11 +136,6 @@ class TestDetectEvents:
         for pair in ("a1a2", "c1c2", "r1r2"):
             assert detect_events(pair, init, P_STRONG, 3.0) == []
 
-    def test_coarse_grid_rejected(self):
-        init = InitialAmplitudes.from_ratio(1.5)
-        with pytest.raises(ConfigError):
-            detect_events("a1a2", init, P_STRONG, 50.0, n_points=100)
-
     @pytest.mark.parametrize("horizon", [np.nan, np.inf, -np.inf, 0.0])
     def test_bad_horizon_rejected(self, horizon):
         init = InitialAmplitudes.from_ratio(1.5)
@@ -161,13 +156,6 @@ class TestDetectEvents:
             detect_events("a1a2", init, P_STRONG, horizon / 1.02)
         with pytest.raises(ConfigError, match=re.escape(f"on horizon {horizon:g} needs")):
             detect_events("a1a2", init, P_STRONG, horizon)
-
-    def test_empty_grid_rejected(self):
-        # overdamped, the period check accepts any grid size
-        init = InitialAmplitudes.from_ratio(1.5)
-        for n in (0, -3):
-            with pytest.raises(ValueError, match="at least 1 cell"):
-                detect_events("a1a2", init, P_WEAK, 60.0, n_points=n)
 
     def test_a1a2_esd_in_first_grid_cell(self):
         # a1a2 starts at lambda = -alpha beta, and for beta / alpha = 1e6
@@ -206,6 +194,39 @@ class TestDetectEvents:
         e2, g2, _ = exact_squares(events[1].time, P_STRONG)
         a, b = init.alpha, init.beta
         assert e2 + g2 - e2 * g2 == pytest.approx((b - a) * (b + a) / b**2, rel=1e-6)
+
+    @pytest.mark.parametrize("pair, g_eff, kappa, ratio, horizon, expected", [
+        ("a1c2", 12.583154755782562, 1.0, 1.6821989422104262, 32.23938776228566,
+         [(ESB, 0.0), (ESD, 0.4272785471), (ESR, 0.4508546712), (ESD, 0.5468251122),
+          (ESR, 0.5819381853), (ESD, 0.656965999), (ESR, 0.7241120493),
+          (ESD, 0.7741390545), (ESR, 0.8681476196), (ESD, 0.8732213051)]),
+        ("a1c2", 13.31916133988106, 1.0, 4.194230474098405, 12.622618867406935,
+         [(ESB, 0.0), (ESD, 0.0186847432), (ESR, 0.1149563166), (ESD, 0.1177954852)]),
+        ("a1r2", 5.4973923151212, 0.5, 3.7053193456774802, 89.25110447470547,
+         [(ESB, 0.0), (ESD, 0.0498284293), (ESR, 10.1804076634), (ESD, 10.4760053323),
+          (ESR, 10.4832527072)]),
+    ])
+    def test_mixed_pair_crossings_closer_than_a_grid_cell(self, pair, g_eff, kappa, ratio,
+                                                          horizon, expected):
+        # the last ESR and ESD lie closer than one cell of a grid of 40 points
+        # per Rabi period; the expected times are a grid of 32 times as many
+        p = SystemParams.from_geff(g_eff, kappa=kappa)
+        events = detect_events(pair, InitialAmplitudes.from_ratio(ratio), p, horizon)
+        assert [ev.kind for ev in events] == [kind for kind, _ in expected]
+        assert [ev.time for ev in events] == pytest.approx([t for _, t in expected], abs=1e-8)
+
+    def test_touch_of_zero_is_no_event(self):
+        # at kappa = 0 and beta = 2 alpha the a1c2 margin is
+        # -beta^2 (|E|^2 - |G|^2)^2 / 4, which touches 0 at the midpoint of
+        # lattice cells that are cut in 16; kappa = 1e-6 lifts each touch
+        # into two crossings (a grid of 5e-8 steps finds the same 38 on [0, 1])
+        init = InitialAmplitudes.from_ratio(2.0)
+        events = detect_events("a1c2", init, SystemParams.from_geff(30.0, kappa=0.0), 60.0)
+        assert [(ev.kind, ev.time) for ev in events] == [(ESB, 0.0)]
+        events = detect_events("a1c2", init, SystemParams.from_geff(30.0, kappa=1e-6), 1.0)
+        assert [ev.kind for ev in events] == [ESB] + [ESD, ESR] * 19
+        assert [ev.time for ev in events[1:5]] == pytest.approx(
+            [0.0261783, 0.02618155, 0.07853465, 0.07854495], abs=1e-7)
 
     def test_interacting_pair_rejected(self):
         init = InitialAmplitudes.from_ratio(1.5)
@@ -257,8 +278,6 @@ class TestDetectEventsProperties:
            horizon=log_uniform(1.0, 60.0), pair=st.sampled_from(DIFFERENT_CHAINS))
     def test_events_split_time_into_signed_intervals(self, gamma, ratio,
                                                      horizon, pair):
-        # near alpha = beta one grid cell can hold two crossings
-        assume(abs(1.0 / ratio - 1.0) >= 0.01)
         p = SystemParams.from_geff(gamma)
         init = InitialAmplitudes.from_ratio(ratio)
         events = detect_events(pair, init, p, horizon)
@@ -302,6 +321,26 @@ class TestLattice:
             step = np.diff(x2, axis=1)
             assert np.all(np.all(step >= -tol, axis=1) | np.all(step <= tol, axis=1))
         assert np.all(np.diff(r2, axis=1) >= -tol)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(g_eff=log_uniform(0.01, 30.0), kappa=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+           ratio=st.one_of(log_uniform(0.2, 20.0), st.floats(1.0, 1.01)),
+           horizon=log_uniform(1.0, 60.0), pair=st.sampled_from(DIFFERENT_CHAINS))
+    @example(g_eff=12.583154755782562, kappa=1.0, ratio=1.6821989422104262,
+             horizon=32.23938776228566, pair="a1c2")
+    @example(g_eff=0.0772967532473333, kappa=0.0, ratio=2.0, horizon=36.0, pair="a1c2")
+    def test_margin_changes_sign_once_in_split_cells(self, g_eff, kappa, ratio, horizon, pair):
+        p, init = SystemParams.from_geff(g_eff, kappa=kappa), InitialAmplitudes.from_ratio(ratio)
+        ts = events_module._split_opposed(pair, init, p, events_module._lattice(p, horizon))
+        assert np.all(np.diff(ts) > 0.0)
+        wide = np.diff(ts) > 1e-8 + _roots.RTOL * ts[1:]
+        # 40 samples in each cell wider than brentq's tolerance, both ends included
+        s = ts[:-1][wide, None] + np.diff(ts)[wide, None] * np.linspace(0.0, 1.0, 40)
+        margin = events_module._cross_margin(pair, init, exact_squares(s, p))[0]
+        # where the margin touches 0 (the second example) it reads either sign
+        # within rounding of 0
+        signed = np.abs(margin) > events_module._margin_rounding(init)
+        assert all(np.sum(np.diff(m[k] < 0.0)) <= 1 for m, k in zip(margin, signed))
 
 
 class TestConcurrenceSeries:
@@ -605,7 +644,7 @@ class TestBrentq:
                                 np.exp(rng.uniform(0.0, np.log(1e6)))])
             horizon = np.exp(rng.uniform(0.0, np.log(80.0)))
             p, init = SystemParams.from_geff(gamma), InitialAmplitudes.from_ratio(ratio)
-            for pair in ("a1a2", "c1c2", "r1r2"):
+            for pair in DIFFERENT_CHAINS:
                 calls += recorded_brackets(lambda: detect_events(pair, init, p, horizon))
         assert len(calls) > 150
         assert_scipy_roots(calls)
