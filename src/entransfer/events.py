@@ -164,42 +164,44 @@ def _detection_cells(p, horizon, what=None):
 
 
 def _margin_rounding(init):
-    """What ``_cross_margin`` may round to near 0: 8 eps of its terms there,
-    beta^2 - alpha^2 where q > 1/2 and alpha elsewhere, or of the smaller.
-    Where it touches 0 (a1c2 at kappa = 0 and beta = 2 alpha, at each peak
-    of |E|^2 |G|^2) it reads up to eps / 2, on either side of 0."""
+    """8 eps of ``_cross_margin``'s terms near 0, beta^2 - alpha^2 and alpha:
+    the most it rounds to there; a touch of 0 reads up to eps / 2 either side."""
     a, b = init.alpha, init.beta
     return 8.0 * np.finfo(float).eps * min(abs((b - a) * (b + a)), a)
 
 
-def _split_opposed(pair, init, p, ts):
-    """Sorted ``ts``, on whose cells the pair's squares x^2, y^2 are
-    monotone, with each cell cut in 16, again and again, while it is wider
-    than brentq's tolerance 1e-8 + RTOL t and M = beta^2 (1 - x^2)(1 - y^2)
-    - alpha^2 may cross 0 twice in it, up to rounding.  That needs x^2 and
-    y^2 to move apart (else M is monotone), M at the cell's larger and
-    smaller squares to straddle 0, and M within 3/4 (beta A h)^2 of 0 at an
-    end of the width-h cell, as E' = -g_eff G/i and (G/i)' = g_eff E -
-    kappa G/2i bound each square's slope by A = g_eff + kappa and its
-    curvature by 2 A^2, so |M''| <= 6 (beta A)^2.  For x = y, no cut."""
+def _split_opposed(pair, init, p, horizon):
+    """(times, squares): ``_lattice``, where a mixed pair's x^2, y^2 are
+    monotone between neighbours, with each cell cut in 16 while it is wider
+    than brentq's tolerance and M = beta^2 (1 - x^2)(1 - y^2) - alpha^2 may
+    cross 0 twice in it: x^2 and y^2 move apart, M at the cell's larger and
+    smaller squares straddles 0, and sqrt|M| <= sqrt(3/4) beta A h at an end,
+    as A = g_eff + kappa bounds each square's slope and 2 A^2 its curvature
+    (E' = -g_eff G/i, (G/i)' = g_eff E - kappa G/2i), so |M''| <= 6 (beta A)^2.
+    ConfigError if the points would not fit in physical memory."""
     i, j = ("acr".index(pair[k]) for k in (0, 2))
-    if i == j:
-        return ts
     a, b = init.alpha, init.beta
-    bend = 0.75 * (b * (p.g_eff + p.kappa))**2
-    cut, t = [ts], ts
+    # not squared: (beta A)^2 underflows to 0 for A below about 1e-162
+    slope, t = np.sqrt(0.75) * b * (p.g_eff + p.kappa), _lattice(p, horizon)
+    cut, n = [], t.size
     while t.size:
-        squares = np.asarray(_finite(exact_squares(t, p), ts[-1]))
-        lower = _cross_margin(pair, init, np.maximum(squares[..., :-1], squares[..., 1:]))[0]
-        upper = _cross_margin(pair, init, np.minimum(squares[..., :-1], squares[..., 1:]))[0]
-        m = np.abs(b * b * (1.0 - squares[i]) * (1.0 - squares[j]) - a * a)
-        step, h = np.diff(squares), np.diff(t)
+        s = np.asarray(_finite(exact_squares(t, p), horizon))
+        cut.append(np.vstack((t.reshape(1, -1), s.reshape(3, -1))))
+        lower, upper = (_cross_margin(pair, init, f(s[..., :-1], s[..., 1:]))[0]
+                        for f in (np.maximum, np.minimum))
+        m = np.sqrt(np.abs(b * b * (1.0 - s[i]) * (1.0 - s[j]) - a * a))
+        step, h = np.diff(s), np.diff(t)
         split = ((step[i] * step[j] < 0.0) & (lower < 0.0) & (upper >= 0.0)
-                 & (np.minimum(m[..., :-1], m[..., 1:]) <= bend * h * h)
+                 & (np.minimum(m[..., :-1], m[..., 1:]) <= slope * h)
                  & (h > 1e-8 + RTOL * t[..., 1:]))
+        # an exact touch of 0 is cut at every level, so the points grow with it
+        n += 17 * np.count_nonzero(split)
+        require_memory(n * GRID_POINT_BYTES,
+                       f"a detection grid of {n:g} points on horizon {horizon:g}")
         t = np.linspace(t[..., :-1][split], t[..., 1:][split], 17, axis=-1)
-        cut.append(t.ravel())
-    return np.unique(np.concatenate(cut))
+    cut = np.concatenate(cut, axis=1)
+    t, first = np.unique(cut[0], return_index=True)
+    return t, cut[1:, first]
 
 
 def detect_events(pair, init, p, horizon):
@@ -207,23 +209,23 @@ def detect_events(pair, init, p, horizon):
     (same-chain pairs, C = 2 beta^2 |x y|, only touch zero).
 
     The ``_cross_margin`` sign is read at t = 0 and at the live points of
-    ``_lattice``, cut by ``_split_opposed`` so that no cell holds two
-    crossings farther apart than 1e-8, and each change is refined by brentq
-    to 1e-8 in time: an ESD, or an ESB the first time and an ESR afterwards;
-    an ESB at 0 if C(0) = 0 < C just after.  A margin within
-    ``_margin_rounding`` of 0 has no sign, so a touch of 0 is no event.  For
-    a1a2, c1c2 and r1r2 the lattice is joined with a dense grid of
-    ``_detection_cells``, which sets the last digits of their times.
-    Non-finite amplitudes raise ValueError, and a dense grid past physical
-    memory ConfigError, for every pair."""
+    ``_split_opposed``, so that no cell of a mixed pair holds two crossings
+    farther apart than 1e-8, or for a1a2, c1c2 and r1r2 of ``_lattice``
+    joined with a dense grid of ``_detection_cells``, which sets the last
+    digits of their times.  Each change is refined by brentq to 1e-8 in
+    time: an ESD, or an ESB the first time and an ESR afterwards; an ESB at
+    0 if C(0) = 0 < C just after.  A margin within ``_margin_rounding`` of
+    0 has no sign, so a touch of 0 is no event.  Non-finite amplitudes
+    raise ValueError, and a grid past physical memory ConfigError."""
     if pair not in PAIR_LABELS or pair[1] == pair[3]:
         raise ValueError(f"event detection takes a pair on different chains "
                          f"(a1a2, a1c2, ...), got {pair!r}")
     cells = _detection_cells(p, horizon)     # the size check for every pair
-    grid = _split_opposed(pair, init, p, _lattice(p, horizon))
     if pair in DIAGONAL_PAIRS:
-        grid = np.union1d(np.linspace(0.0, horizon, cells + 1), grid)
-    squares = _finite(exact_squares(grid, p), horizon)
+        grid = np.union1d(np.linspace(0.0, horizon, cells + 1), _lattice(p, horizon))
+        squares = _finite(exact_squares(grid, p), horizon)
+    else:
+        grid, squares = _split_opposed(pair, init, p, horizon)
     g, (margin, live) = _cross_pair(pair, init, squares), _cross_margin(pair, init, squares)
     # C(0) = 0 for all pairs but a1a2; the margin at t = 0 is the sign just
     # after, so a pair is born at 0 only if it is live at a later point

@@ -142,20 +142,28 @@ class TestDetectEvents:
         with pytest.raises(ValueError, match="horizon must be positive and finite"):
             detect_events("a1a2", init, P_STRONG, horizon)
 
-    @pytest.mark.parametrize("horizon", [1e307, None], ids=["1e307", "past_memory"])
-    def test_huge_horizon_rejected_before_allocating(self, horizon, monkeypatch):
+    @pytest.mark.parametrize("pair, p, horizon", [
+        ("a1a2", P_STRONG, 1e307), ("a1a2", P_STRONG, None),
+        # at kappa = 0 and beta = 2 alpha the a1c2 margin touches 0 at every
+        # peak of |E|^2 |G|^2, and each touch is cut down to 1e-8: about 19
+        # times the points of the dense grid, whose size check passes here
+        ("a1c2", SystemParams.from_geff(30.0, kappa=0.0), 150.0),
+    ], ids=["1e307", "past_memory", "split_points"])
+    def test_huge_horizon_rejected_before_allocating(self, pair, p, horizon, monkeypatch):
         # a machine with 64 MiB, so that a missing guard would allocate little
         pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 16384}
         monkeypatch.setattr(errors.os, "sysconf", pages.__getitem__)
-        init = InitialAmplitudes.from_ratio(1.5)
+        init = InitialAmplitudes.from_ratio(2.0)
         if horizon is None:
             # the default grid just past 64 MiB, and one just inside
-            period = 2.0 * np.pi / P_STRONG.omega_bar.real
+            period = 2.0 * np.pi / p.omega_bar.real
             fits = 64 * 2**20 / events_module.GRID_POINT_BYTES - 1.0
             horizon = 1.01 * fits * period / events_module.POINTS_PER_PERIOD
-            detect_events("a1a2", init, P_STRONG, horizon / 1.02)
+            detect_events(pair, init, p, horizon / 1.02)
+        elif pair != "a1a2":
+            events_module._detection_cells(p, horizon)
         with pytest.raises(ConfigError, match=re.escape(f"on horizon {horizon:g} needs")):
-            detect_events("a1a2", init, P_STRONG, horizon)
+            detect_events(pair, init, p, horizon)
 
     def test_a1a2_esd_in_first_grid_cell(self):
         # a1a2 starts at lambda = -alpha beta, and for beta / alpha = 1e6
@@ -195,6 +203,7 @@ class TestDetectEvents:
         a, b = init.alpha, init.beta
         assert e2 + g2 - e2 * g2 == pytest.approx((b - a) * (b + a) / b**2, rel=1e-6)
 
+    @pytest.mark.parametrize("k", [0, -545, -1000])
     @pytest.mark.parametrize("pair, g_eff, kappa, ratio, horizon, expected", [
         ("a1c2", 12.583154755782562, 1.0, 1.6821989422104262, 32.23938776228566,
          [(ESB, 0.0), (ESD, 0.4272785471), (ESR, 0.4508546712), (ESD, 0.5468251122),
@@ -207,13 +216,19 @@ class TestDetectEvents:
           (ESR, 10.4832527072)]),
     ])
     def test_mixed_pair_crossings_closer_than_a_grid_cell(self, pair, g_eff, kappa, ratio,
-                                                          horizon, expected):
+                                                          horizon, expected, k):
         # the last ESR and ESD lie closer than one cell of a grid of 40 points
-        # per Rabi period; the expected times are a grid of 32 times as many
-        p = SystemParams.from_geff(g_eff, kappa=kappa)
-        events = detect_events(pair, InitialAmplitudes.from_ratio(ratio), p, horizon)
+        # per Rabi period; the expected times are a grid of 32 times as many.
+        # Rates times s = 2^k and the horizon over s give the same list; the
+        # curvature bound (beta (g_eff + kappa) h)^2 underflowed to 0 from
+        # k ~ -543 on, and no lattice cell was cut.  Delta = 1 keeps g_eff
+        # Delta normal
+        s = 2.0**k
+        p = SystemParams.from_geff(s * g_eff, kappa=s * kappa, Delta=1.0)
+        events = detect_events(pair, InitialAmplitudes.from_ratio(ratio), p, horizon / s)
         assert [ev.kind for ev in events] == [kind for kind, _ in expected]
-        assert [ev.time for ev in events] == pytest.approx([t for _, t in expected], abs=1e-8)
+        assert [ev.time * s for ev in events] == pytest.approx([t for _, t in expected],
+                                                               abs=1e-8)
 
     def test_touch_of_zero_is_no_event(self):
         # at kappa = 0 and beta = 2 alpha the a1c2 margin is
@@ -331,8 +346,9 @@ class TestLattice:
     @example(g_eff=0.0772967532473333, kappa=0.0, ratio=2.0, horizon=36.0, pair="a1c2")
     def test_margin_changes_sign_once_in_split_cells(self, g_eff, kappa, ratio, horizon, pair):
         p, init = SystemParams.from_geff(g_eff, kappa=kappa), InitialAmplitudes.from_ratio(ratio)
-        ts = events_module._split_opposed(pair, init, p, events_module._lattice(p, horizon))
+        ts, squares = events_module._split_opposed(pair, init, p, horizon)
         assert np.all(np.diff(ts) > 0.0)
+        assert np.array_equal(squares, exact_squares(ts, p))
         wide = np.diff(ts) > 1e-8 + _roots.RTOL * ts[1:]
         # 40 samples in each cell wider than brentq's tolerance, both ends included
         s = ts[:-1][wide, None] + np.diff(ts)[wide, None] * np.linspace(0.0, 1.0, 40)
