@@ -150,7 +150,7 @@ def i_concurrence(psi, dims):
     if da * db != psi.size:
         raise ValueError(f"dims {dims} inconsistent with vector of size {psi.size}")
     nrm = np.linalg.norm(psi)
-    if abs(nrm - 1.0) > 1e-12:
+    if not abs(nrm - 1.0) <= 1e-12:       # a NaN norm fails too
         raise ValueError(f"state norm {nrm} != 1")
     m = psi.reshape(da, db)
     rho_a = m @ m.conj().T

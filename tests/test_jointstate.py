@@ -205,3 +205,14 @@ class TestGlobalTangle:
         for p in (P_STRONG, P_WEAK):
             for t in (0.0, 0.5, 3.0, 20.0):
                 assert global_tangle(t, init, p) == pytest.approx(expect, abs=1e-12)
+
+    def test_overflowed_state_raises(self):
+        # at g_eff = 0.01 and t = 3000 the amplitudes overflow to NaN: the
+        # tangle raises, as a pair concurrence at the same point does, and
+        # does not read the NaN state as unentangled
+        init, p = InitialAmplitudes.from_ratio(2.0), SystemParams.from_geff(0.01)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="state norm nan"):
+                global_tangle(3000.0, init, p)
+            with pytest.raises(ValueError, match="non-finite"):
+                pair_concurrence("a1a2", 3000.0, init, p)

@@ -117,6 +117,16 @@ SECULAR_CASES = {
                              ReservoirDiscretization(50, 40.0)),
     "g=1e-300": lambda: (SystemParams(g=1e-300, Omega=1.0, Delta=1.0),
                          ReservoirDiscretization(0, 1.0)),
+    # at the sizes validate runs most roots start from the picket-fence seed;
+    # the overdamped point takes N = 1000, as at N = 500 eigvalsh itself
+    # misses the 8 eps |H| bound at the top eigenvalue by 2 %
+    "bench point": lambda: (SystemParams.from_geff(3.0, Delta=1e4),
+                            ReservoirDiscretization(500, 200.0)),
+    "overdamped": lambda: (SystemParams.from_geff(0.05, Delta=1e4),
+                           ReservoirDiscretization(1000, 200.0)),
+    # h- = -1 lies a sixth of a spacing above the mode at -1.125
+    "pole near mode": lambda: (SystemParams(g=2.0, Omega=2.0, Delta=3.0),
+                               ReservoirDiscretization(40, 30.0)),
 }
 
 
@@ -406,6 +416,18 @@ class TestSecularSpectrum:
             direct = (1 / terms).sum(axis=1), (1 / terms**2).sum(axis=1)
             for got, want in zip(_mode_sums(u, n), direct):
                 assert np.all(np.abs(got - want) <= 4 * EPS * np.abs(want))
+        # as spectrum passes them: (2, k) distances below and above with
+        # float counts of the modes below and above, summing to N
+        rng = np.random.default_rng(8)
+        below = rng.integers(0, 2001, size=40).astype(float)
+        counts = np.stack([below, 2000.0 - below])
+        u = rng.uniform(1e-3, 1.0, size=counts.shape)
+        terms = u.astype(np.longdouble)[..., None] + np.arange(2000)
+        terms[np.arange(2000) >= counts[..., None]] = np.inf
+        direct = (1 / terms).sum(axis=-1), (1 / terms**2).sum(axis=-1)
+        for got, want in zip(_mode_sums(u, counts), direct):
+            assert got.shape == counts.shape
+            assert np.all(np.abs(got - want) <= 4 * EPS * np.abs(want))
 
 
 class TestCollectiveChain:

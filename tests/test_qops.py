@@ -182,6 +182,7 @@ class TestValidateDensityMatrix:
     (qops.partial_transpose, (np.eye(4) / 4.0, (2, 2), 2), "subsystem must be"),
     (qops.i_concurrence, (bell_state(), (2, 3)), "inconsistent"),
     (qops.partial_transpose, (np.eye(4) / 4.0, (2, 2), "B"), "subsystem must be"),
+    (qops.i_concurrence, (np.full(4, np.nan), (2, 2)), "state norm nan"),
 ])
 def test_rejects_malformed_input(fn, args, match):
     with pytest.raises(ValueError, match=match):
