@@ -36,8 +36,7 @@ import numpy as np
 from .amplitudes import SystemParams, amplitudes_strong, amplitudes_weak, exact_squares
 from .errors import ConfigError, require_memory
 from .events import (DIAGONAL_PAIRS, InitialAmplitudes, PAIR_LABELS, _detection_cells,
-                     _require_scan, concurrence_series, dead_window, detect_events,
-                     lambda_minus, phase_diagram)
+                     concurrence_series, dead_window, detect_events, lambda_minus, phase_diagram)
 from . import oracle
 
 EXIT_OK = 0
@@ -289,7 +288,7 @@ def cmd_events(args):
     p = _resolve_params(args)
     init = InitialAmplitudes.from_ratio(args.ratio)
     pairs = _resolve_pairs(args)
-    # the detection grids' size check, naming the flag that sets their cells
+    # the detection grid's size check, naming the flag that sets its cells
     _detection_cells(p, args.t_max, what=f"--t-max {args.t_max:g}")
     found = [ev for pair in pairs for ev in detect_events(pair, init, p, args.t_max)]
     data = ([ev.kind for ev in found], [ev.pair for ev in found],
@@ -301,7 +300,7 @@ def cmd_events(args):
 def cmd_window(args):
     p = _resolve_params(args)
     init = InitialAmplitudes.from_ratio(args.ratio)
-    _require_scan(p, args.t_max, f"--t-max {args.t_max:g}")
+    _detection_cells(p, args.t_max, what=f"--t-max {args.t_max:g}")
     win = dead_window(init, p, args.t_max)
     if win is None:
         data = ([0], [math.nan], [math.nan], [math.nan])

@@ -27,9 +27,6 @@ POINTS_PER_PERIOD = 40
 MIN_CELLS = 2000
 # peak bytes per detection-grid point, measured with numpy 2 on CPython 3.11
 GRID_POINT_BYTES = 128
-# the same per half period pi / w for the scans of ``_intervals`` at two
-# crossings, the most there are (3.1-3.3 kB)
-SCAN_STEP_BYTES = 4096
 
 # the 15 unordered subsystem pairs, canonical label order
 PAIR_LABELS = (
@@ -146,13 +143,12 @@ def concurrence_series(pair, init, p, grid):
 
 
 def _detection_cells(p, horizon, what=None):
-    """Cell count of the dense detection grid on [0, horizon]:
+    """Cell count of the detection grid np.linspace(0, horizon, cells + 1):
     POINTS_PER_PERIOD per Rabi period and at least MIN_CELLS.
 
-    Raises ValueError unless the horizon is positive and finite, and
-    ConfigError, before anything is allocated, if the grid would not fit in
-    physical memory, naming it ``what`` (default: by its cell count and
-    horizon)."""
+    ValueError unless the horizon is positive and finite; ConfigError, before
+    allocating, if the grid, or ``_filled`` filling every span (~85 B a cell),
+    would not fit in physical memory, named ``what`` or by cells and horizon."""
     if not (np.isfinite(horizon) and horizon > 0):
         raise ValueError("horizon must be positive and finite")
     period = 2.0 * np.pi / p.omega_bar.real if p.omega_bar.real > 0 else np.inf
@@ -204,44 +200,68 @@ def _split_opposed(pair, init, p, horizon):
     return t, cut[1:, first]
 
 
+def _filled(p, horizon, signs):
+    """(times, squares): ``_lattice`` joined with the points of the detection
+    grid np.linspace(0, horizon, cells + 1) in each span between neighbours
+    that ``signs(squares)`` = (negative, signed, live) neither signs alike
+    nor finds both dead, and one either side: a subset of their union."""
+    cells = _detection_cells(p, horizon)
+    t = _lattice(p, horizon)
+    s = np.asarray(_finite(exact_squares(t, p), horizon))
+    neg, signed, live = signs(s)
+    alike = signed[:-1] & signed[1:] & (neg[:-1] == neg[1:])
+    k = np.flatnonzero(~alike & (live[:-1] | live[1:]))
+    if not k.size:
+        return t, s
+    # linspace's i h, h = horizon / cells; (i / cells) horizon on [0, horizon] if h = 0
+    step = horizon / cells
+    lo, hi = (t[k] // step, t[k + 1] // step + 1.0) if step else (0.0 * k, 0.0 * k + cells)
+    lo, hi = np.maximum(lo, 1.0), np.minimum(hi, cells - 1.0)
+    n = np.maximum(hi - lo + 1.0, 0.0).astype(int)
+    i = np.repeat(lo - np.cumsum(n) + n, n) + np.arange(np.sum(n))
+    t = np.union1d(t, i * step if step else i / cells * horizon)
+    return t, np.asarray(_finite(exact_squares(t, p), horizon))
+
+
 def detect_events(pair, init, p, horizon):
     """ESD/ESB/ESR events on [0, horizon] of a pair on different chains
     (same-chain pairs, C = 2 beta^2 |x y|, only touch zero).
 
-    The ``_cross_margin`` sign is read at t = 0 and at the live points of
-    ``_split_opposed``, so that no cell of a mixed pair holds two crossings
-    farther apart than 1e-8, or for a1a2, c1c2 and r1r2 of ``_lattice``
-    joined with a dense grid of ``_detection_cells``, which sets the last
-    digits of their times.  Each change is refined by brentq to 1e-8 in
-    time: an ESD, or an ESB the first time and an ESR afterwards; an ESB at
-    0 if C(0) = 0 < C just after.  A margin within ``_margin_rounding`` of
-    0 has no sign, so a touch of 0 is no event.  Non-finite amplitudes
-    raise ValueError, and a grid past physical memory ConfigError."""
+    The ``_cross_margin`` sign is read where signed (x^2 y^2 > 0 and beyond
+    ``_margin_rounding``, so a touch of 0 is no event; at t = 0 the sign just
+    after): on ``_split_opposed`` for a mixed pair, so no cell holds two
+    crossings 1e-8 apart, else on ``_filled``, whose grid sets the last
+    digits.  Each change is refined by brentq to 1e-8: an ESD, or an ESB the
+    first time and an ESR afterwards; an ESB at 0 if C(0) = 0 < C just after.
+    Non-finite amplitudes raise ValueError, a grid past memory ConfigError."""
     if pair not in PAIR_LABELS or pair[1] == pair[3]:
         raise ValueError(f"event detection takes a pair on different chains "
                          f"(a1a2, a1c2, ...), got {pair!r}")
-    cells = _detection_cells(p, horizon)     # the size check for every pair
-    if pair in DIAGONAL_PAIRS:
-        grid = np.union1d(np.linspace(0.0, horizon, cells + 1), _lattice(p, horizon))
-        squares = _finite(exact_squares(grid, p), horizon)
+    def signs(squares):     # (negative, signed, live)
+        margin, live = _cross_margin(pair, init, squares)
+        signed = live & (np.abs(margin) > _margin_rounding(init))
+        signed[0] = init.beta > 0.0
+        return margin < 0.0, signed, live
+    if pair in DIAGONAL_PAIRS:      # monotone margins between lattice neighbours
+        grid, squares = _filled(p, horizon, signs)
     else:
+        _detection_cells(p, horizon)     # the horizon and size checks of _filled
         grid, squares = _split_opposed(pair, init, p, horizon)
-    g, (margin, live) = _cross_pair(pair, init, squares), _cross_margin(pair, init, squares)
-    # C(0) = 0 for all pairs but a1a2; the margin at t = 0 is the sign just
-    # after, so a pair is born at 0 only if it is live at a later point
-    born, live[0] = not live[0] and live[1:].any(), init.beta > 0.0
-    live[1:] &= np.abs(margin[1:]) > _margin_rounding(init)
-    live = np.flatnonzero(live)
-    entangled = margin[live] < 0.0
+    entangled, signed, live = signs(squares)
+    # C(0) = 0 for all pairs but a1a2, born at 0 only if live at a later point
+    born, signed = not live[0] and live[1:].any(), np.flatnonzero(signed)
+    entangled = entangled[signed]
+    changes = np.flatnonzero(entangled[:-1] != entangled[1:])
+    lo, hi = signed[changes], signed[changes + 1]
+    # refine on g, or on the margin where g has rounded to one sign
+    g_lo, g_hi = (_cross_pair(pair, init, squares[:, k]) for k in (lo, hi))
+    on_g = np.sign(g_lo) * np.sign(g_hi) < 0.0
     g_at = lambda t: _cross_pair(pair, init, exact_squares(t, p))
     margin_at = lambda t: _cross_margin(pair, init, exact_squares(t, p))[0]
     ever_entangled = entangled[:1].any()
     events = [EventRecord(ESB, pair, 0.0)] if born and ever_entangled else []
-    for k in np.flatnonzero(entangled[:-1] != entangled[1:]):
-        lo, hi = live[k], live[k + 1]
-        # refine on g, or on the margin where g has rounded to one sign
-        f = g_at if np.sign(g[lo]) * np.sign(g[hi]) < 0.0 else margin_at
-        root = brentq(f, grid[lo], grid[hi], xtol=1e-8)
+    for k, a, b, use_g in zip(changes, grid[lo], grid[hi], on_g):
+        root = brentq(g_at if use_g else margin_at, a, b, xtol=1e-8)
         kind = ESD if entangled[k] else ESR if ever_entangled else ESB
         events.append(EventRecord(kind=kind, pair=pair, time=root))
         ever_entangled = True
@@ -326,33 +346,6 @@ def _finite(values, horizon):
     return values
 
 
-def _require_scan(p, horizon, what=None):
-    """ValueError unless the horizon is positive and finite; ConfigError,
-    before allocating, if the scans of ``_intervals`` on [0, horizon] would
-    not fit in physical memory, naming them ``what``."""
-    if not (np.isfinite(horizon) and horizon > 0):
-        raise ValueError("horizon must be positive and finite")
-    n = horizon * p.omega_bar.real / np.pi + 2.0
-    require_memory(n * SCAN_STEP_BYTES,
-                   what or f"a scan of {n:g} half periods on horizon {horizon:g}")
-
-
-def _intervals(f, p, horizon, xtol):
-    """Intervals of [0, horizon] on which f < 0, for an f monotone between
-    neighbours of ``_lattice(p, horizon)``.  One array call narrows each
-    end's bracket to a sixteenth of its cell, and brentq refines it to xtol;
-    the caller checks its size with ``_require_scan``."""
-    ts = _lattice(p, horizon)
-    neg = _finite(f(ts), horizon) < 0.0
-    k = np.flatnonzero(neg[:-1] != neg[1:])
-    sub = np.linspace(ts[k], ts[k + 1], 17, axis=-1)
-    sub_neg = _finite(f(sub.ravel()), horizon).reshape(sub.shape) < 0.0
-    j = np.argmax(sub_neg != neg[k, None], axis=1)
-    ends = [brentq(f, row[i - 1], row[i], xtol=xtol) for row, i in zip(sub, j)]
-    ends = ([float(ts[0])] if neg[0] else []) + ends + ([float(ts[-1])] if neg[-1] else [])
-    return list(zip(ends[::2], ends[1::2]))
-
-
 def cavity_boundary(gamma):
     """Minimum over t of 1 - |G_t|^2 with exact amplitudes: the critical
     alpha/beta ratio above which the cavities entangle.
@@ -383,18 +376,19 @@ def cavity_phase(gamma, ratio):
 
 def cavity_entangled_intervals(gamma, ratio):
     """Time intervals on which the cavity pair is entangled for
-    alpha/beta = ratio (exact amplitudes): where 1 - |G_t|^2 < ratio.
-
-    ``_lattice`` brackets each crossing, refined to 1e-10 in time, up to a
-    half period pi / w past the last peak of |G|^2 above 1 - ratio (real
-    w = omega_bar), else to the first of 2t*, 4t*, ... where f >= 0 again.
-    Non-finite amplitudes (kappa t ~ 2840 overdamped) raise ValueError, and
-    a scan past physical memory ConfigError."""
+    alpha/beta = ratio (exact amplitudes): where f = (1 - ratio) - |G_t|^2
+    < 0, 1 - ratio being exact for ratio >= 1/2 (Sterbenz).  f is monotone
+    between ``_lattice`` neighbours; its crossings are bracketed on
+    ``_filled`` and refined to 1e-10 in time, up to a half period pi / w past
+    the last peak of |G|^2 above 1 - ratio (real w = omega_bar), else to the
+    first of 2t*, 4t*, ... where f >= 0 again.  Non-finite amplitudes (kappa
+    t ~ 2840 overdamped) raise ValueError, a grid past memory ConfigError."""
     _check_ratios(ratio)
     if ratio <= cavity_boundary(gamma):     # f(t*) >= 0: never entangled
         return []
     p = SystemParams.from_geff(gamma)
-    f = lambda t: (1.0 - exact_squares(t, p)[1]) - ratio
+    level = lambda squares: (1.0 - ratio) - squares[1]
+    f = lambda t: level(exact_squares(t, p))
     t_peak = _cavity_peak(p)
     hi = 2.0 * t_peak
     with np.errstate(over="ignore", invalid="ignore"):
@@ -406,8 +400,12 @@ def cavity_entangled_intervals(gamma, ratio):
         # cosh and sinh overflow near kappa t ~ 2840: f turns -inf, then NaN
         while f(hi) < 0.0:
             hi *= 2.0
-        _require_scan(p, hi)
-        return _intervals(f, p, hi, xtol=1e-10)
+        signs = lambda s: (level(s) < 0.0,) + 2 * (np.ones(s.shape[1], bool),)
+        ts, squares = _filled(p, hi, signs)      # every point signed and live
+    # f(0) = 1 - ratio > 0 and f(hi) >= 0, so the crossings pair up
+    ends = [brentq(f, ts[k], ts[k + 1], xtol=1e-10)
+            for k in np.flatnonzero(np.diff(level(squares) < 0.0))]
+    return list(zip(ends[::2], ends[1::2]))
 
 
 @dataclass(frozen=True)
@@ -439,15 +437,17 @@ def dead_window(init, p, horizon):
     beta (1 - x^2) >= alpha for x^2 = |E|^2, |G|^2 and R^2, and the product
     of two of these, beta^2 (1 - x^2)(1 - y^2) >= alpha^2, leaves the other
     six unentangled too.  The window is the earliest of the widest gaps
-    (widths within 2e-8 tie) between the intervals where their margins are
-    negative, whose ends ``_lattice`` brackets, refined to 1e-8."""
-    _require_scan(p, horizon)
+    (widths within 2e-8 tie) between the intervals on which they are
+    entangled, whose ends are their ``detect_events`` times."""
+    _detection_cells(p, horizon)
     if init.alpha * init.beta == 0:
         return None
     covered = []
     for pair in DIAGONAL_PAIRS:
-        margin = lambda t, pair=pair: _cross_margin(pair, init, exact_squares(t, p))[0]
-        covered += _intervals(margin, p, horizon, xtol=1e-8)
+        # C(0) = 2 alpha beta > 0 for a1a2 alone, and the events alternate
+        ends = [0.0] * (pair == "a1a2") + [e.time for e in detect_events(pair, init, p, horizon)]
+        ends += [horizon] * (len(ends) % 2)
+        covered += zip(ends[::2], ends[1::2])
     gaps, reach = [], 0.0
     for lo, hi in sorted(covered) + [(horizon, horizon)]:
         gaps += [(reach, lo)] if lo > reach else []

@@ -378,10 +378,11 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert flag in err and "GB" in err
 
-    @pytest.mark.parametrize("t_max, gb", [("12582", "0.0819"), ("40000", "0.26")])
+    @pytest.mark.parametrize("t_max, gb", [("16492", "0.0671"), ("40000", "0.163")])
     def test_window_sized_from_its_scan(self, t_max, gb, monkeypatch, capsys):
-        # on a 64 MiB machine: at --t-max 12582 the detection grid that window
-        # never builds would fit (51 MB), its lattice scans (82 MB) would not
+        # on a 64 MiB machine: window fills the detection grid of events, whose
+        # 524,288 cells and more from --t-max 16492 on (128 B a point) would
+        # not fit where every lattice span is filled
         pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 16384}
         monkeypatch.setattr(errors.os, "sysconf", pages.__getitem__)
         assert main(["window", "--geff", "5", "--ratio", "3", "--t-max", t_max]) == 2
@@ -786,7 +787,7 @@ class TestOut:
 # mode set or phase diagram is large, and no time or rate lies between 60
 # and 1e12, where the events and window scans are large but still pass
 # their memory guards (events --geff 1e5 --kappa 0.249999999 takes about
-# 4 s); from 1e12 on the guards reject a scan from its size estimate.
+# 0.6 s); from 1e12 on the guards reject a scan from its size estimate.
 FUZZ_FLOATS = ["0", "-0", "-1", "5e-324", "1e-300", "0.24999999999999997", "0.25",
                "0.25000000000000006", "0.5", "0.999", "1", "5", "60", "1e12", "1e154",
                "1e155", "1.7976931348623157e308", "nan"]

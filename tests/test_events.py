@@ -3,6 +3,7 @@ cavity phase diagram."""
 
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings
@@ -359,6 +360,86 @@ class TestLattice:
         assert all(np.sum(np.diff(m[k] < 0.0)) <= 1 for m, k in zip(margin, signed))
 
 
+def union_grid_events(pair, init, p, horizon):
+    """[(kind, time)] of a diagonal pair from the whole detection grid joined
+    with the lattice, read and refined as ``detect_events`` reads and
+    refines its filled lattice."""
+    cells = events_module._detection_cells(p, horizon)
+    grid = np.union1d(np.linspace(0.0, horizon, cells + 1), events_module._lattice(p, horizon))
+    squares = exact_squares(grid, p)
+    g = events_module._cross_pair(pair, init, squares)
+    margin, live = events_module._cross_margin(pair, init, squares)
+    born, live[0] = not live[0] and live[1:].any(), init.beta > 0.0
+    live[1:] &= np.abs(margin[1:]) > events_module._margin_rounding(init)
+    live = np.flatnonzero(live)
+    entangled = margin[live] < 0.0
+    g_at = lambda t: events_module._cross_pair(pair, init, exact_squares(t, p))
+    margin_at = lambda t: events_module._cross_margin(pair, init, exact_squares(t, p))[0]
+    ever = entangled[:1].any()
+    found = [(ESB, 0.0)] if born and ever else []
+    for k in np.flatnonzero(entangled[:-1] != entangled[1:]):
+        lo, hi = live[k], live[k + 1]
+        f = g_at if np.sign(g[lo]) * np.sign(g[hi]) < 0.0 else margin_at
+        found.append((ESD if entangled[k] else ESR if ever else ESB,
+                      _roots.brentq(f, grid[lo], grid[hi], xtol=1e-8)))
+        ever = True
+    return found
+
+
+class TestFilledLattice:
+    @pytest.mark.parametrize("seed", [31, 32])
+    def test_events_equal_the_whole_grid(self, seed):
+        # the detection grid is read only where the lattice cannot sign a
+        # span; the brackets, and so every time, are those of the whole grid
+        rng = np.random.default_rng(seed)
+        n_events = 0
+        for _ in range(100):
+            g_eff = np.exp(rng.uniform(np.log(0.01), np.log(50.0)))
+            kappa = rng.choice([0.0, 0.5, 1.0, 2.0])
+            ratio = rng.choice([1.0 + 10.0 ** rng.uniform(-15.0, -1.0),
+                                1.0 - 10.0 ** rng.uniform(-15.0, -1.0),
+                                np.exp(rng.uniform(np.log(1e-3), np.log(1e9)))])
+            horizon = np.exp(rng.uniform(np.log(0.01), np.log(400.0)))
+            pair = rng.choice(DIAGONAL_PAIRS)
+            p = SystemParams.from_geff(g_eff, kappa=kappa)
+            init = InitialAmplitudes.from_ratio(ratio)
+            found = [(ev.kind, ev.time.hex()) for ev in detect_events(pair, init, p, horizon)]
+            expected = union_grid_events(pair, init, p, horizon)
+            assert found == [(kind, t.hex()) for kind, t in expected], (g_eff, kappa, ratio,
+                                                                        horizon, pair)
+            n_events += len(found)
+        assert n_events > 200
+
+    def test_unsigned_point_between_points_signed_alike(self):
+        # |E|^2 rounds to 0 at the lattice zero of E near t = 12.557, so that
+        # point is dead although the margin there is beta^2 - alpha^2 > 0;
+        # its spans hold an ESD and an ESR that the lattice alone misses
+        p = SystemParams.from_geff(0.6677902682358862, kappa=2.0)
+        init = InitialAmplitudes.from_ratio(1.0000000010569488)
+        horizon = 21.66315796931774
+        ts = events_module._lattice(p, horizon)
+        zero = ts[np.argmin(np.abs(ts - 12.557273))]
+        assert exact_squares(zero, p)[0] == 0.0
+        found = detect_events("a1a2", init, p, horizon)
+        assert [ev.kind for ev in found] == [ESD, ESR] * 2 + [ESD]
+        assert [ev.time for ev in found[2:4]] == pytest.approx([12.5316512158, 12.5835686671],
+                                                               abs=1e-9)
+        assert [(ev.kind, ev.time.hex()) for ev in found] == [
+            (kind, t.hex()) for kind, t in union_grid_events("a1a2", init, p, horizon)]
+
+    @pytest.mark.parametrize("horizon", [5e-322, 4e-321])
+    def test_grid_step_below_the_float_range(self, horizon):
+        # horizon / cells underflows to 0, and linspace's points are
+        # (i / cells) horizon, several of them equal
+        p = SystemParams.from_geff(1e300, kappa=1e299, Delta=1.0)
+        assert horizon / events_module._detection_cells(p, horizon) == 0.0
+        for ratio in (1.0, 0.5):
+            init = InitialAmplitudes.from_ratio(ratio)
+            for pair in DIAGONAL_PAIRS:
+                assert [(ev.kind, ev.time) for ev in detect_events(pair, init, p, horizon)] \
+                    == union_grid_events(pair, init, p, horizon)
+
+
 class TestConcurrenceSeries:
     def test_matches_brute_force(self):
         # the closed forms against partial trace + Wootters of the joint
@@ -486,9 +567,28 @@ class TestCavityPhase:
 
     def test_entangled_intervals_past_memory_rejected_before_allocating(self):
         # ~2.2e8 half periods to the last peak above 1 - ratio: 6.6e8 lattice
-        # points, 5.3 GB per float array before the sub-scans
-        with pytest.raises(ConfigError, match=r"scan of 2\.19886e\+08 half periods"):
+        # points, 5.3 GB per float array, inside a detection grid of 4.4e9 cells
+        with pytest.raises(ConfigError, match=r"a detection grid of 4\.39772e\+09 cells "
+                                              r"on horizon 69\.0792 needs about 563 GB"):
             cavity_entangled_intervals(1e7, 1.0 - 1e-15)
+
+    @pytest.mark.parametrize("gamma, ratio, n_ends", [(30.0, 1.0 - 1e-12, 1056),
+                                                      (100.0, 1.0 - 1e-9, 2638)])
+    def test_entangled_interval_ends_match_40_digits(self, gamma, ratio, n_ends):
+        # 1 - |G|^2 rounds to eps / 2 absolute where |G|^2 - (1 - ratio) is
+        # 1e-12 or less, so (1 - |G|^2) - ratio put these ends off by up to
+        # 8.4e-6 and 1.7e-9; 1 - ratio is exact, and so is (1 - ratio) - |G|^2
+        # where it crosses 0
+        p = SystemParams.from_geff(gamma)
+        ends = np.ravel(cavity_entangled_intervals(gamma, ratio))
+        assert ends.size == n_ends
+        with mpmath.workdps(40):
+            kappa, g_eff = mpmath.mpf(p.kappa), mpmath.mpf(p.g_eff)
+            w, level = mpmath.sqrt(g_eff**2 - kappa**2 / 16), 1 - mpmath.mpf(ratio)
+            f = lambda t: level - (g_eff * mpmath.sin(w * t) / w)**2 * mpmath.exp(-kappa * t / 2)
+            roots = np.array([float(mpmath.findroot(f, (mpmath.mpf(t), mpmath.mpf(t) + 1e-12)))
+                              for t in ends])
+        assert np.all(np.abs(ends - roots) <= 1e-10 + 4.0 * np.finfo(float).eps * roots)
 
     @settings(derandomize=True, max_examples=20, deadline=None)
     @given(gamma=log_uniform(0.05, 10.0), gap=log_uniform(1e-6, 0.5))
@@ -629,6 +729,28 @@ class TestDeadWindow:
         # and no dead run of the scan is wider than the window
         runs = np.flatnonzero(np.diff(np.concatenate(([0], dead.astype(int), [0]))))
         assert np.max(np.diff(runs)[::2] - 1) * step <= hi - lo + 2e-8
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(gamma=log_uniform(0.05, 20.0), kappa=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+           ratio=log_uniform(1.01, 1e3), horizon=log_uniform(1.0, 60.0))
+    @example(gamma=5.0, kappa=1.0, ratio=7.08, horizon=10.0)
+    def test_window_ends_are_event_times(self, gamma, kappa, ratio, horizon):
+        # window and events read the same crossings, to the last bit
+        p = SystemParams.from_geff(gamma, kappa=kappa)
+        init = InitialAmplitudes.from_ratio(ratio)
+        win = dead_window(init, p, horizon)
+        if win is None:
+            return
+        times = {ev.time for pair in DIAGONAL_PAIRS
+                 for ev in detect_events(pair, init, p, horizon)}
+        assert all(t in (0.0, horizon) or t in times for t in win)
+
+    def test_window_opens_at_the_cavity_esd_of_events(self):
+        # c1c2 is entangled on [0.30432, 0.30476]; window printed 0.30475606378
+        init = InitialAmplitudes.from_ratio(7.08)
+        esd = [ev.time for ev in detect_events("c1c2", init, P_STRONG, 10.0) if ev.kind == ESD]
+        t_start, _ = dead_window(init, P_STRONG, 10.0)
+        assert t_start == esd[0] and f"{t_start:.12g}" == "0.30475606233"
 
 
 def recorded_brackets(search):
