@@ -16,6 +16,7 @@ magnitudes directly.
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,7 +34,8 @@ class SystemParams:
     kappa  cavity decay rate (1/time)
 
     Derived quantities (``delta``, ``g_eff``, ``omega_bar``, ``gamma``)
-    are recomputed on access so they can never go stale.
+    are computed on first access and kept: the instance is frozen, and
+    ``dataclasses.replace`` builds a new one.
     """
 
     g: float
@@ -51,7 +53,7 @@ class SystemParams:
         if self.Delta == 0:
             raise ValueError("Delta must be nonzero")
 
-    @property
+    @cached_property
     def delta(self):
         """Stark-compensating two-photon detuning (g^2 - Omega^2) / Delta."""
         s = max(self.g, self.Omega)
@@ -60,7 +62,7 @@ class SystemParams:
         # the squares would overflow or underflow: scale both couplings by the larger
         return ((self.g / s)**2 - (self.Omega / s)**2) * s / self.Delta * s
 
-    @property
+    @cached_property
     def g_eff(self):
         """Effective Raman coupling g * Omega / Delta."""
         g_omega = self.g * self.Omega
@@ -68,7 +70,7 @@ class SystemParams:
             return self.g * (self.Omega / self.Delta)
         return g_omega / self.Delta
 
-    @property
+    @cached_property
     def omega_bar(self):
         """Damped Rabi frequency (4 omega_bar^2 = 4 g_eff^2 - kappa^2 / 4):
         real when underdamped, imaginary when overdamped."""
@@ -79,7 +81,7 @@ class SystemParams:
         s = max(self.g_eff, self.kappa / 4.0)
         return s * np.sqrt(complex((self.g_eff / s)**2 - (self.kappa / 4.0 / s)**2))
 
-    @property
+    @cached_property
     def gamma(self):
         """Coupling-to-decay ratio g_eff / kappa."""
         if self.kappa == 0:

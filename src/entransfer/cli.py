@@ -13,8 +13,10 @@ Subcommands emit CSV or JSON data files (no plotting):
 
 Each subcommand and each preset takes only the flags its handler reads
 (``COMMANDS``, ``FIGURES``), plus ``--out``, ``--format`` and ``--config``.
-The subcommand and ``N`` are positionals of one argument parser, which is
-built only with the flags of the subcommand and preset that argv names.
+The subcommand and ``N`` are positionals of one argument parser, which holds
+only the flags of the subcommand and preset that argv names; it is built
+once per process for each subcommand and preset, and each call parses with
+a shallow copy of it.
 Every rate is in the unit of ``--kappa`` (1 by default) and every time in
 its inverse; ``--geff`` gives the coupling and ``--ratio`` (beta / alpha)
 the initial state alpha|gg> + beta|ee>.  Exit codes:
@@ -24,6 +26,8 @@ numerical-validation failure (including a NaN or infinite output value).
 """
 
 import argparse
+import copy
+import functools
 import json
 import math
 import os
@@ -35,8 +39,8 @@ import numpy as np
 
 from .amplitudes import SystemParams, amplitudes_strong, amplitudes_weak, exact_squares
 from .errors import ConfigError, require_memory
-from .events import (DIAGONAL_PAIRS, InitialAmplitudes, PAIR_LABELS, _detection_cells,
-                     concurrence_series, dead_window, detect_events, lambda_minus, phase_diagram)
+from .events import (DIAGONAL_PAIRS, InitialAmplitudes, PAIR_LABELS, _dead_window,
+                     _detection_cells, _events, concurrence_series, lambda_minus, phase_diagram)
 from . import oracle
 
 EXIT_OK = 0
@@ -180,25 +184,32 @@ COMMANDS = {
 
 
 def build_parser(argv):
-    """One parser for ``argv``: the positional subcommand, the positional
+    """A parser for ``argv``: the positional subcommand, the positional
     preset ``N`` for ``figure``, and the flags of what ``argv`` names.  A name
     that ``argv`` gives joins the prog and leaves the help; a missing or
-    invalid one is an error that lists every choice."""
+    invalid one is an error that lists every choice.  It is a shallow copy of
+    the one parser of that subcommand and preset, built on first use, so an
+    attribute that a caller sets on it stays its own."""
     # "--" ends the options; argparse drops it before the first positional
     command, number = (*[a for a in argv[:3] if a != "--"][:2], None, None)[:2]
-    presets = {str(n): n for n in FIGURES}
-    known, preset = command in HANDLERS, command == "figure" and number in presets
-    defaults = FIGURES[presets[number]][1] if preset else COMMANDS.get(command)
+    known = command in HANDLERS
+    preset = command == "figure" and number in _PRESETS
+    return copy.copy(_parser(command if known else None, number if preset else None))
+
+
+@functools.lru_cache(maxsize=16)      # 6 subcommands, figure with 8 presets or none, no name
+def _parser(command, number):
+    defaults = FIGURES[_PRESETS[number]][1] if number else COMMANDS.get(command)
     parser = argparse.ArgumentParser(
-        prog=" ".join(["entransfer", *[command, number][:known + preset]]),
+        prog=" ".join(["entransfer", *filter(None, (command, number))]),
         allow_abbrev=False,     # validate --g is not --geff
-        description=None if known else "Entanglement transfer through dissipative "
+        description=None if command else "Entanglement transfer through dissipative "
                     "atom-cavity-reservoir chains: series, events and phase diagrams.")
-    parser.add_argument("command", choices=HANDLERS, help=argparse.SUPPRESS if known else None)
+    parser.add_argument("command", choices=HANDLERS, help=argparse.SUPPRESS if command else None)
     if command == "figure":
         # a preset's number parses to its int; any other text fails the choices
-        parser.add_argument("number", metavar="N", type=lambda s: presets.get(s, s),
-                            choices=FIGURES, help=argparse.SUPPRESS if preset else None)
+        parser.add_argument("number", metavar="N", type=lambda s: _PRESETS.get(s, s),
+                            choices=FIGURES, help=argparse.SUPPRESS if number else None)
     if defaults is not None:
         for dest in (*defaults, "out", "format", "config"):
             parser.add_argument("--" + dest.replace("_", "-"), **FLAGS[dest])
@@ -289,8 +300,8 @@ def cmd_events(args):
     init = InitialAmplitudes.from_ratio(args.ratio)
     pairs = _resolve_pairs(args)
     # the detection grid's size check, naming the flag that sets its cells
-    _detection_cells(p, args.t_max, what=f"--t-max {args.t_max:g}")
-    found = [ev for pair in pairs for ev in detect_events(pair, init, p, args.t_max)]
+    cells = _detection_cells(p, args.t_max, what=f"--t-max {args.t_max:g}")
+    found = _events(pairs, init, p, args.t_max, cells)
     data = ([ev.kind for ev in found], [ev.pair for ev in found],
             [ev.time for ev in found])
     cfg = _base_config(args, p, init, pairs=",".join(pairs), t_max=args.t_max)
@@ -300,8 +311,8 @@ def cmd_events(args):
 def cmd_window(args):
     p = _resolve_params(args)
     init = InitialAmplitudes.from_ratio(args.ratio)
-    _detection_cells(p, args.t_max, what=f"--t-max {args.t_max:g}")
-    win = dead_window(init, p, args.t_max)
+    cells = _detection_cells(p, args.t_max, what=f"--t-max {args.t_max:g}")
+    win = _dead_window(init, p, args.t_max, cells)
     if win is None:
         data = ([0], [math.nan], [math.nan], [math.nan])
     else:
@@ -416,6 +427,8 @@ FIGURES = {
     9: (cmd_concurrence, dict(SERIES, geff=0.1, ratio=3.0, pairs=DIAGONAL)),
     10: (cmd_concurrence, dict(SERIES, geff=0.1, ratio=3.0, pairs="a1c1,c1r1,a1a2,r1r2")),
 }
+# preset text -> number, the choices that "figure" N parses to
+_PRESETS = {str(n): n for n in FIGURES}
 
 
 def cmd_figure(args):

@@ -166,22 +166,22 @@ def _margin_rounding(init):
     return 8.0 * np.finfo(float).eps * min(abs((b - a) * (b + a)), a)
 
 
-def _split_opposed(pair, init, p, horizon):
-    """(times, squares): ``_lattice``, where a mixed pair's x^2, y^2 are
-    monotone between neighbours, with each cell cut in 16 while it is wider
-    than brentq's tolerance and M = beta^2 (1 - x^2)(1 - y^2) - alpha^2 may
-    cross 0 twice in it: x^2 and y^2 move apart, M at the cell's larger and
-    smaller squares straddles 0, and sqrt|M| <= sqrt(3/4) beta A h at an end,
-    as A = g_eff + kappa bounds each square's slope and 2 A^2 its curvature
-    (E' = -g_eff G/i, (G/i)' = g_eff E - kappa G/2i), so |M''| <= 6 (beta A)^2.
+def _split_opposed(pair, init, p, horizon, t, s):
+    """(times, squares): the ``_lattice`` times ``t`` and their squares ``s``,
+    where a mixed pair's x^2, y^2 are monotone between neighbours, with each
+    cell cut in 16 while it is wider than brentq's tolerance and M = beta^2
+    (1 - x^2)(1 - y^2) - alpha^2 may cross 0 twice in it: x^2 and y^2 move
+    apart, M at the cell's larger and smaller squares straddles 0, and
+    sqrt|M| <= sqrt(3/4) beta A h at an end, as A = g_eff + kappa bounds each
+    square's slope and 2 A^2 its curvature (E' = -g_eff G/i,
+    (G/i)' = g_eff E - kappa G/2i), so |M''| <= 6 (beta A)^2.
     ConfigError if the points would not fit in physical memory."""
     i, j = ("acr".index(pair[k]) for k in (0, 2))
     a, b = init.alpha, init.beta
     # not squared: (beta A)^2 underflows to 0 for A below about 1e-162
-    slope, t = np.sqrt(0.75) * b * (p.g_eff + p.kappa), _lattice(p, horizon)
+    slope = np.sqrt(0.75) * b * (p.g_eff + p.kappa)
     cut, n = [], t.size
-    while t.size:
-        s = np.asarray(_finite(exact_squares(t, p), horizon))
+    while True:
         cut.append(np.vstack((t.reshape(1, -1), s.reshape(3, -1))))
         lower, upper = (_cross_margin(pair, init, f(s[..., :-1], s[..., 1:]))[0]
                         for f in (np.maximum, np.minimum))
@@ -195,19 +195,20 @@ def _split_opposed(pair, init, p, horizon):
         require_memory(n * GRID_POINT_BYTES,
                        f"a detection grid of {n:g} points on horizon {horizon:g}")
         t = np.linspace(t[..., :-1][split], t[..., 1:][split], 17, axis=-1)
+        if not t.size:
+            break
+        s = np.asarray(_finite(exact_squares(t, p), horizon))
     cut = np.concatenate(cut, axis=1)
-    t, first = np.unique(cut[0], return_index=True)
-    return t, cut[1:, first]
+    first = _first_of_each(cut[0])
+    return cut[0, first], cut[1:, first]
 
 
-def _filled(p, horizon, signs):
-    """(times, squares): ``_lattice`` joined with the points of the detection
-    grid np.linspace(0, horizon, cells + 1) in each span between neighbours
-    that ``signs(squares)`` = (negative, signed, live) neither signs alike
-    nor finds both dead, and one either side: a subset of their union."""
-    cells = _detection_cells(p, horizon)
-    t = _lattice(p, horizon)
-    s = np.asarray(_finite(exact_squares(t, p), horizon))
+def _filled(p, horizon, signs, cells, t, s):
+    """(times, squares): the ``_lattice`` times ``t``, with squares ``s``,
+    joined with the points of the detection grid np.linspace(0, horizon,
+    cells + 1) in each span between neighbours that ``signs(squares)`` =
+    (negative, signed, live) neither signs alike nor finds both dead, and one
+    either side: a subset of their union."""
     neg, signed, live = signs(s)
     alike = signed[:-1] & signed[1:] & (neg[:-1] == neg[1:])
     k = np.flatnonzero(~alike & (live[:-1] | live[1:]))
@@ -219,8 +220,21 @@ def _filled(p, horizon, signs):
     lo, hi = np.maximum(lo, 1.0), np.minimum(hi, cells - 1.0)
     n = np.maximum(hi - lo + 1.0, 0.0).astype(int)
     i = np.repeat(lo - np.cumsum(n) + n, n) + np.arange(np.sum(n))
-    t = np.union1d(t, i * step if step else i / cells * horizon)
-    return t, np.asarray(_finite(exact_squares(t, p), horizon))
+    fill = i * step if step else i / cells * horizon
+    # exact_squares works point by point, so the lattice's squares are kept
+    t = np.concatenate((t, fill))
+    s = np.concatenate((s, np.asarray(_finite(exact_squares(fill, p), horizon))), axis=1)
+    first = _first_of_each(t)
+    return t[first], s[:, first]
+
+
+def _first_of_each(t):
+    """Indices that sort ``t``, keeping the first occurrence of each value:
+    ``np.unique(t, return_index=True)[1]``, without the numpy.ma import that
+    np.unique and np.union1d make on their first call."""
+    order = np.argsort(t, kind="stable")
+    t = t[order]
+    return order[np.concatenate(([True], t[1:] != t[:-1]))]
 
 
 def detect_events(pair, init, p, horizon):
@@ -234,19 +248,40 @@ def detect_events(pair, init, p, horizon):
     digits.  Each change is refined by brentq to 1e-8: an ESD, or an ESB the
     first time and an ESR afterwards; an ESB at 0 if C(0) = 0 < C just after.
     Non-finite amplitudes raise ValueError, a grid past memory ConfigError."""
+    _check_cross(pair)
+    return _events((pair,), init, p, horizon, _detection_cells(p, horizon))
+
+
+def _check_cross(pair):
     if pair not in PAIR_LABELS or pair[1] == pair[3]:
         raise ValueError(f"event detection takes a pair on different chains "
                          f"(a1a2, a1c2, ...), got {pair!r}")
+
+
+def _events(pairs, init, p, horizon, cells):
+    """``detect_events`` of each of ``pairs`` in turn, given ``cells =
+    _detection_cells(p, horizon)``: the pairs share one ``_lattice`` and its
+    squares, built once the first pair passes its check."""
+    lattice, events = None, []
+    for pair in pairs:
+        _check_cross(pair)
+        if lattice is None:
+            lattice = _lattice_squares(p, horizon)
+        events += _pair_events(pair, init, p, horizon, cells, *lattice)
+    return events
+
+
+def _pair_events(pair, init, p, horizon, cells, t, s):
+    """``detect_events`` of ``pair`` from the lattice times ``t`` and squares ``s``."""
     def signs(squares):     # (negative, signed, live)
         margin, live = _cross_margin(pair, init, squares)
         signed = live & (np.abs(margin) > _margin_rounding(init))
         signed[0] = init.beta > 0.0
         return margin < 0.0, signed, live
     if pair in DIAGONAL_PAIRS:      # monotone margins between lattice neighbours
-        grid, squares = _filled(p, horizon, signs)
+        grid, squares = _filled(p, horizon, signs, cells, t, s)
     else:
-        _detection_cells(p, horizon)     # the horizon and size checks of _filled
-        grid, squares = _split_opposed(pair, init, p, horizon)
+        grid, squares = _split_opposed(pair, init, p, horizon, t, s)
     entangled, signed, live = signs(squares)
     # C(0) = 0 for all pairs but a1a2, born at 0 only if live at a later point
     born, signed = not live[0] and live[1:].any(), np.flatnonzero(signed)
@@ -337,7 +372,14 @@ def _lattice(p, horizon):
     t_peak, w = _cavity_peak(p), p.omega_bar.real
     k_pi = np.arange(horizon * w // np.pi + 2.0) * np.pi / w if w > 0.0 else np.zeros(1)
     inner = np.concatenate((k_pi, t_peak + k_pi, k_pi - t_peak))
-    return np.union1d(inner[(inner > 0.0) & (inner < horizon)], [0.0, horizon])
+    t = np.concatenate((inner[(inner > 0.0) & (inner < horizon)], [0.0, horizon]))
+    return t[_first_of_each(t)]
+
+
+def _lattice_squares(p, horizon):
+    """``_lattice`` and its squares; ValueError where they are not finite."""
+    t = _lattice(p, horizon)
+    return t, np.asarray(_finite(exact_squares(t, p), horizon))
 
 
 def _finite(values, horizon):
@@ -401,7 +443,8 @@ def cavity_entangled_intervals(gamma, ratio):
         while f(hi) < 0.0:
             hi *= 2.0
         signs = lambda s: (level(s) < 0.0,) + 2 * (np.ones(s.shape[1], bool),)
-        ts, squares = _filled(p, hi, signs)      # every point signed and live
+        # every point signed and live
+        ts, squares = _filled(p, hi, signs, _detection_cells(p, hi), *_lattice_squares(p, hi))
     # f(0) = 1 - ratio > 0 and f(hi) >= 0, so the crossings pair up
     ends = [brentq(f, ts[k], ts[k + 1], xtol=1e-10)
             for k in np.flatnonzero(np.diff(level(squares) < 0.0))]
@@ -439,13 +482,18 @@ def dead_window(init, p, horizon):
     six unentangled too.  The window is the earliest of the widest gaps
     (widths within 2e-8 tie) between the intervals on which they are
     entangled, whose ends are their ``detect_events`` times."""
-    _detection_cells(p, horizon)
+    return _dead_window(init, p, horizon, _detection_cells(p, horizon))
+
+
+def _dead_window(init, p, horizon, cells):
+    """``dead_window`` given ``cells = _detection_cells(p, horizon)``."""
     if init.alpha * init.beta == 0:
         return None
+    found = _events(DIAGONAL_PAIRS, init, p, horizon, cells)
     covered = []
     for pair in DIAGONAL_PAIRS:
         # C(0) = 2 alpha beta > 0 for a1a2 alone, and the events alternate
-        ends = [0.0] * (pair == "a1a2") + [e.time for e in detect_events(pair, init, p, horizon)]
+        ends = [0.0] * (pair == "a1a2") + [e.time for e in found if e.pair == pair]
         ends += [horizon] * (len(ends) % 2)
         covered += zip(ends[::2], ends[1::2])
     gaps, reach = [], 0.0

@@ -1,5 +1,6 @@
 """Unit tests for the closed-form single-chain amplitudes."""
 
+import dataclasses
 import warnings
 
 import mpmath
@@ -16,6 +17,9 @@ from entransfer.amplitudes import (
     amplitudes_weak,
     exact_squares,
 )
+
+
+RATES = ("delta", "g_eff", "omega_bar", "gamma")
 
 
 def params_geff(geff, kappa=1.0, Delta=None):
@@ -118,6 +122,29 @@ class TestSystemParams:
     def test_gamma_infinite_without_decay(self):
         p = SystemParams(g=50.0, Omega=50.0, Delta=500.0, kappa=0.0)
         assert p.gamma == np.inf
+
+    @pytest.mark.parametrize("p", [
+        params_geff(5.0, kappa=0.0),
+        params_geff(1e-160, kappa=1e-160),      # g_eff Delta subnormal
+        params_geff(0.1),                       # overdamped
+        params_geff(5.0, kappa=1e150),
+    ], ids=["kappa0", "subnormal", "overdamped", "kappa1e150"])
+    def test_rates_kept_with_the_bits_of_a_recompute(self, p):
+        kept = [getattr(p, name) for name in RATES]
+        assert all(getattr(p, name) is rate for name, rate in zip(RATES, kept))
+        # a fresh instance, its rates read in the other order
+        fresh = dataclasses.replace(p)
+        recomputed = [getattr(SystemParams, name).func(fresh) for name in reversed(RATES)]
+        assert [np.asarray(x).tobytes() for x in kept] == \
+            [np.asarray(x).tobytes() for x in reversed(recomputed)]
+
+    def test_replace_gets_fresh_rates(self):
+        p = params_geff(5.0)
+        before = [getattr(p, name) for name in RATES]
+        q = dataclasses.replace(p, kappa=100.0)
+        assert q.gamma == pytest.approx(0.05)
+        assert q.omega_bar == pytest.approx(1j * np.sqrt(600.0))
+        assert [getattr(p, name) for name in RATES] == before
 
 
 class TestExactAmplitudes:

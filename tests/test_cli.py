@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import entransfer
 from entransfer import cli, errors
+from entransfer import events as events_module
 from entransfer.amplitudes import SystemParams
 from entransfer.cli import COMMANDS, FIGURES, build_parser, emit, main
 from entransfer.errors import ConfigError
@@ -544,6 +545,29 @@ class TestMisc:
                 "assert not loaded, loaded")
         subprocess.run([sys.executable, "-I", "-c", code], check=True, timeout=120)
 
+    def test_events_and_window_leave_numpy_ma_out(self):
+        # np.unique and np.union1d import numpy.ma on first use, 10-20 ms
+        src = os.path.dirname(os.path.dirname(entransfer.__file__))
+        code = (f"import sys; sys.path.insert(0, {src!r}); import entransfer.cli as c; "
+                "c.main(['events', '--geff', '5', '--ratio', '1.5', '--t-max', '3']); "
+                "c.main(['window', '--geff', '5', '--ratio', '7.08', '--t-max', '10']); "
+                "assert 'numpy.ma' not in sys.modules")
+        subprocess.run([sys.executable, "-I", "-c", code], check=True, timeout=120,
+                       stdout=subprocess.DEVNULL)
+
+    @pytest.mark.parametrize("argv", [["events", "--geff", "1e5", "--kappa", "0.249999999"],
+                                      ["window", "--geff", "5", "--ratio", "7.08", "--t-max", "10"]])
+    def test_one_lattice_per_call(self, argv, monkeypatch, capsys):
+        # the pairs share one lattice, its squares and one grid-size check
+        calls = []
+        for module, name in ((events_module, "_lattice"), (events_module, "_detection_cells"),
+                             (cli, "_detection_cells")):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, fn=fn, name=name, **k:
+                                calls.append(name) or fn(*a, **k))
+        assert main(argv) == 0
+        assert sorted(calls) == ["_detection_cells", "_lattice"]
+
     def test_package_root_names_resolve(self):
         assert all(hasattr(entransfer, name) for name in entransfer.__all__)
 
@@ -691,12 +715,30 @@ class TestParser:
 
     @pytest.mark.parametrize("argv", [["amplitudes"], ["figure", "10"], ["figure"], ["bogus"]])
     def test_one_parser_per_call(self, argv, monkeypatch):
+        # one parser on the first call, none on a repeat
         built = []
         init = argparse.ArgumentParser.__init__
         monkeypatch.setattr(argparse.ArgumentParser, "__init__",
                             lambda self, *a, **k: built.append(init(self, *a, **k)))
+        cli._parser.cache_clear()
         build_parser(argv)
         assert len(built) == 1
+        build_parser(argv)
+        assert len(built) == 1
+
+    def test_parses_leave_no_trace(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"t-max": 1, "steps": 4, "ratio": 2}))
+        argv = ["figure", "3", "--config", str(cfg), "--format", "json",
+                "--out", str(tmp_path / "out.json")]
+        assert main(argv) == 0
+        want = next(w for a, w in PARSES if a == ["figure", "3"])
+        got = vars(build_parser(["figure", "3"]).parse_args(["figure", "3"]))
+        assert got == dict(want, out=None, format="csv", config=None)
+        # an instance attribute, as a tracer that wraps parse_args sets
+        first = build_parser(["figure", "3"])
+        first.parse_args = first.traced = None
+        assert not {"parse_args", "traced"} & set(vars(build_parser(["figure", "3"])))
 
     def test_double_dash_ends_the_options(self, capsys):
         # argparse drops a "--" before a positional, so build_parser skips it too

@@ -347,7 +347,8 @@ class TestLattice:
     @example(g_eff=0.0772967532473333, kappa=0.0, ratio=2.0, horizon=36.0, pair="a1c2")
     def test_margin_changes_sign_once_in_split_cells(self, g_eff, kappa, ratio, horizon, pair):
         p, init = SystemParams.from_geff(g_eff, kappa=kappa), InitialAmplitudes.from_ratio(ratio)
-        ts, squares = events_module._split_opposed(pair, init, p, horizon)
+        ts, squares = events_module._split_opposed(pair, init, p, horizon,
+                                                   *events_module._lattice_squares(p, horizon))
         assert np.all(np.diff(ts) > 0.0)
         assert np.array_equal(squares, exact_squares(ts, p))
         wide = np.diff(ts) > 1e-8 + _roots.RTOL * ts[1:]
@@ -426,6 +427,27 @@ class TestFilledLattice:
                                                                abs=1e-9)
         assert [(ev.kind, ev.time.hex()) for ev in found] == [
             (kind, t.hex()) for kind, t in union_grid_events("a1a2", init, p, horizon)]
+
+    @pytest.mark.parametrize("seed", [33])
+    def test_filled_squares_are_those_of_its_times(self, seed):
+        # _filled keeps the lattice's squares and evaluates only the points it
+        # adds: the merged squares must be exact_squares of the merged times
+        rng = np.random.default_rng(seed)
+        added = 0
+        for _ in range(40):
+            p = SystemParams.from_geff(np.exp(rng.uniform(np.log(0.01), np.log(50.0))),
+                                       kappa=rng.choice([0.0, 0.5, 1.0, 2.0]))
+            horizon = rng.choice([np.exp(rng.uniform(np.log(0.01), np.log(400.0))), 5e-322])
+            lattice = events_module._lattice_squares(p, horizon)
+            live = rng.random(lattice[0].size) < 0.5
+            signs = lambda s: (np.zeros(s.shape[1], bool),) * 2 + (np.resize(live, s.shape[1]),)
+            ts, squares = events_module._filled(p, horizon, signs,
+                                                events_module._detection_cells(p, horizon),
+                                                *lattice)
+            assert np.all(np.diff(ts) > 0.0) and set(lattice[0]) <= set(ts)
+            assert np.array_equal(squares, exact_squares(ts, p))
+            added += ts.size - lattice[0].size
+        assert added > 10000
 
     @pytest.mark.parametrize("horizon", [5e-322, 4e-321])
     def test_grid_step_below_the_float_range(self, horizon):
