@@ -203,29 +203,31 @@ def _split_opposed(pair, init, p, horizon, t, s):
     return cut[0, first], cut[1:, first]
 
 
-def _filled(p, horizon, signs, cells, t, s):
-    """(times, squares): the ``_lattice`` times ``t``, with squares ``s``,
-    joined with the points of the detection grid np.linspace(0, horizon,
-    cells + 1) in each span between neighbours that ``signs(squares)`` =
-    (negative, signed, live) neither signs alike nor finds both dead, and one
-    either side: a subset of their union."""
-    neg, signed, live = signs(s)
+def _filled(p, horizon, signs, cells, t, s, read):
+    """(times, squares, signs): the ``_lattice`` times ``t``, squares ``s`` and
+    ``read`` = (negative, signed, live), with the points of the detection grid
+    np.linspace(0, horizon, cells + 1) inserted in each span between neighbours
+    that ``read`` neither signs alike nor finds both dead, and one either side;
+    only those points are evaluated, by ``exact_squares`` and ``signs``."""
+    neg, signed, live = read
     alike = signed[:-1] & signed[1:] & (neg[:-1] == neg[1:])
     k = np.flatnonzero(~alike & (live[:-1] | live[1:]))
     if not k.size:
-        return t, s
+        return t, s, read
     # linspace's i h, h = horizon / cells; (i / cells) horizon on [0, horizon] if h = 0
     step = horizon / cells
     lo, hi = (t[k] // step, t[k + 1] // step + 1.0) if step else (0.0 * k, 0.0 * k + cells)
     lo, hi = np.maximum(lo, 1.0), np.minimum(hi, cells - 1.0)
+    lo[1:] = np.maximum(lo[1:], hi[:-1] + 1.0)     # once where neighbouring spans overlap
     n = np.maximum(hi - lo + 1.0, 0.0).astype(int)
     i = np.repeat(lo - np.cumsum(n) + n, n) + np.arange(np.sum(n))
     fill = i * step if step else i / cells * horizon
-    # exact_squares works point by point, so the lattice's squares are kept
+    # exact_squares and signs work point by point, so the lattice's are kept
+    added = np.asarray(_finite(exact_squares(fill, p), horizon))
     t = np.concatenate((t, fill))
-    s = np.concatenate((s, np.asarray(_finite(exact_squares(fill, p), horizon))), axis=1)
     first = _first_of_each(t)
-    return t[first], s[:, first]
+    return (t[first], np.concatenate((s, added), axis=1)[:, first],
+            tuple(np.concatenate(pair)[first] for pair in zip(read, signs(added))))
 
 
 def _first_of_each(t):
@@ -266,23 +268,24 @@ def _events(pairs, init, p, horizon, cells):
     for pair in pairs:
         _check_cross(pair)
         if lattice is None:
-            lattice = _lattice_squares(p, horizon)
+            lattice = _lattice(p, horizon)
         events += _pair_events(pair, init, p, horizon, cells, *lattice)
     return events
 
 
 def _pair_events(pair, init, p, horizon, cells, t, s):
-    """``detect_events`` of ``pair`` from the lattice times ``t`` and squares ``s``."""
+    """``detect_events`` of ``pair`` from the lattice times ``t`` and squares
+    ``s``, reading each point's margin once."""
     def signs(squares):     # (negative, signed, live)
         margin, live = _cross_margin(pair, init, squares)
-        signed = live & (np.abs(margin) > _margin_rounding(init))
-        signed[0] = init.beta > 0.0
-        return margin < 0.0, signed, live
-    if pair in DIAGONAL_PAIRS:      # monotone margins between lattice neighbours
-        grid, squares = _filled(p, horizon, signs, cells, t, s)
-    else:
-        grid, squares = _split_opposed(pair, init, p, horizon, t, s)
-    entangled, signed, live = signs(squares)
+        return margin < 0.0, live & (np.abs(margin) > _margin_rounding(init)), live
+    diagonal = pair in DIAGONAL_PAIRS     # monotone margins between lattice neighbours
+    grid, squares = (t, s) if diagonal else _split_opposed(pair, init, p, horizon, t, s)
+    read = signs(squares)
+    read[1][0] = init.beta > 0.0    # at t = 0 the sign just after
+    if diagonal:
+        grid, squares, read = _filled(p, horizon, signs, cells, grid, squares, read)
+    entangled, signed, live = read
     # C(0) = 0 for all pairs but a1a2, born at 0 only if live at a later point
     born, signed = not live[0] and live[1:].any(), np.flatnonzero(signed)
     entangled = entangled[signed]
@@ -364,21 +367,17 @@ def _cavity_peak(p):
 
 
 def _lattice(p, horizon):
-    """0, ``horizon`` and the times between at which |E|^2 or |G|^2 is
-    stationary, so that |E|^2, |G|^2 and R^2 (dR^2/dt = kappa |G|^2) are
-    monotone between neighbours.  As dE/dt = -g_eff^2 (sin(w t) / w) e^{-kappa t / 4},
-    for real w = omega_bar these are k pi / w, the zeros k pi / w - t* of E and
+    """(times, squares): 0, ``horizon`` and the times between at which |E|^2
+    or |G|^2 is stationary, so that |E|^2, |G|^2 and R^2 (dR^2/dt = kappa
+    |G|^2) are monotone between neighbours, and their squares (ValueError
+    unless finite).  As dE/dt = -g_eff^2 (sin(w t) / w) e^{-kappa t / 4}, for
+    real w = omega_bar these are k pi / w, the zeros k pi / w - t* of E and
     the peaks t* + k pi / w of |G|^2; else E > 0 falls and |G|^2 peaks at t*."""
     t_peak, w = _cavity_peak(p), p.omega_bar.real
     k_pi = np.arange(horizon * w // np.pi + 2.0) * np.pi / w if w > 0.0 else np.zeros(1)
     inner = np.concatenate((k_pi, t_peak + k_pi, k_pi - t_peak))
     t = np.concatenate((inner[(inner > 0.0) & (inner < horizon)], [0.0, horizon]))
-    return t[_first_of_each(t)]
-
-
-def _lattice_squares(p, horizon):
-    """``_lattice`` and its squares; ValueError where they are not finite."""
-    t = _lattice(p, horizon)
+    t = t[_first_of_each(t)]
     return t, np.asarray(_finite(exact_squares(t, p), horizon))
 
 
@@ -442,12 +441,12 @@ def cavity_entangled_intervals(gamma, ratio):
         # cosh and sinh overflow near kappa t ~ 2840: f turns -inf, then NaN
         while f(hi) < 0.0:
             hi *= 2.0
-        signs = lambda s: (level(s) < 0.0,) + 2 * (np.ones(s.shape[1], bool),)
-        # every point signed and live
-        ts, squares = _filled(p, hi, signs, _detection_cells(p, hi), *_lattice_squares(p, hi))
+        signs = lambda s: (level(s) < 0.0,) + 2 * (np.ones(s.shape[1], bool),)  # all signed, live
+        cells = _detection_cells(p, hi)     # sized before the lattice is built
+        t, s = _lattice(p, hi)
+        ts, _, (below, _, _) = _filled(p, hi, signs, cells, t, s, signs(s))
     # f(0) = 1 - ratio > 0 and f(hi) >= 0, so the crossings pair up
-    ends = [brentq(f, ts[k], ts[k + 1], xtol=1e-10)
-            for k in np.flatnonzero(np.diff(level(squares) < 0.0))]
+    ends = [brentq(f, ts[k], ts[k + 1], xtol=1e-10) for k in np.flatnonzero(np.diff(below))]
     return list(zip(ends[::2], ends[1::2]))
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import _check_grid, _squares, amplitudes_exact, exact_squares
+from .amplitudes import _check_grid, _eg, _squares, exact_squares
 from .errors import ConfigError, require_memory
 
 _ERROR_SAMPLES = 201    # times in [0, horizon] that discretized_errors compares
@@ -482,16 +482,16 @@ def lindblad_evolve(p, grid):
 
 
 def lindblad_max_error(p, grid):
-    """Max deviation of the integrated populations/coherences of
-    {|e0>, |g1>, |g0>} from the closed-form single-chain matrix."""
+    """Max deviation of the integrated populations/coherences of {|e0>, |g1>,
+    |g0>} from the closed forms: E and G / i of ``_eg``, E G* = -i E (G / i)."""
     rhos = lindblad_evolve(p, grid)
-    amps = amplitudes_exact(np.asarray(grid, dtype=float), p)
-    e2, g2, r2 = _squares(amps.E.real, amps.G.imag, p.kappa > 0)
+    e, g = _eg(np.asarray(grid, dtype=float), p)
+    e2, g2, r2 = _squares(e, g, p.kappa > 0)
     return float(max(
         np.max(np.abs(rhos[:, IDX_E0, IDX_E0].real - e2)),
         np.max(np.abs(rhos[:, IDX_G1, IDX_G1].real - g2)),
         np.max(np.abs(rhos[:, IDX_G0, IDX_G0].real - r2)),
-        np.max(np.abs(rhos[:, IDX_E0, IDX_G1] - amps.E * np.conj(amps.G))),
+        np.max(np.abs(rhos[:, IDX_E0, IDX_G1] + 1j * (e * g))),
     ))
 
 

@@ -423,9 +423,8 @@ class TestExitCodes:
         assert "non-finite E2 in data row 4 (t = 3000.0)" in captured.err
         # the RK4 propagator overflows at g = 1e17: a run that already fails
         # its tolerance writes no NaN either
-        with warnings.catch_warnings():
-            warnings.filterwarnings("default", "Delta is not large", UserWarning)
-            warnings.filterwarnings("default", "bandwidth 200 <", UserWarning)
+        with pytest.warns(UserWarning, match="Delta is not large"), \
+                pytest.warns(UserWarning, match=r"bandwidth 200 < 2e\+31"):
             assert main(["validate", "--geff", "1e30"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""

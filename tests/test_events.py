@@ -327,8 +327,9 @@ class TestLattice:
     @example(g_eff=5.0, kappa=0.0, horizon=10.0)
     def test_squares_monotone_between_neighbours(self, g_eff, kappa, horizon):
         p = SystemParams.from_geff(g_eff, kappa=kappa, Delta=1e6)
-        ts = events_module._lattice(p, horizon)
+        ts, squares = events_module._lattice(p, horizon)
         assert ts[0] == 0.0 and ts[-1] == horizon and np.all(np.diff(ts) > 0.0)
+        assert np.array_equal(squares, exact_squares(ts, p))
         # 40 samples in each cell, both neighbours included
         s = ts[:-1, None] + np.diff(ts)[:, None] * np.linspace(0.0, 1.0, 40)
         e2, g2, r2 = (x.reshape(s.shape) for x in exact_squares(s.ravel(), p))
@@ -348,7 +349,7 @@ class TestLattice:
     def test_margin_changes_sign_once_in_split_cells(self, g_eff, kappa, ratio, horizon, pair):
         p, init = SystemParams.from_geff(g_eff, kappa=kappa), InitialAmplitudes.from_ratio(ratio)
         ts, squares = events_module._split_opposed(pair, init, p, horizon,
-                                                   *events_module._lattice_squares(p, horizon))
+                                                   *events_module._lattice(p, horizon))
         assert np.all(np.diff(ts) > 0.0)
         assert np.array_equal(squares, exact_squares(ts, p))
         wide = np.diff(ts) > 1e-8 + _roots.RTOL * ts[1:]
@@ -366,7 +367,8 @@ def union_grid_events(pair, init, p, horizon):
     with the lattice, read and refined as ``detect_events`` reads and
     refines its filled lattice."""
     cells = events_module._detection_cells(p, horizon)
-    grid = np.union1d(np.linspace(0.0, horizon, cells + 1), events_module._lattice(p, horizon))
+    grid = np.union1d(np.linspace(0.0, horizon, cells + 1),
+                      events_module._lattice(p, horizon)[0])
     squares = exact_squares(grid, p)
     g = events_module._cross_pair(pair, init, squares)
     margin, live = events_module._cross_margin(pair, init, squares)
@@ -418,7 +420,7 @@ class TestFilledLattice:
         p = SystemParams.from_geff(0.6677902682358862, kappa=2.0)
         init = InitialAmplitudes.from_ratio(1.0000000010569488)
         horizon = 21.66315796931774
-        ts = events_module._lattice(p, horizon)
+        ts = events_module._lattice(p, horizon)[0]
         zero = ts[np.argmin(np.abs(ts - 12.557273))]
         assert exact_squares(zero, p)[0] == 0.0
         found = detect_events("a1a2", init, p, horizon)
@@ -438,16 +440,46 @@ class TestFilledLattice:
             p = SystemParams.from_geff(np.exp(rng.uniform(np.log(0.01), np.log(50.0))),
                                        kappa=rng.choice([0.0, 0.5, 1.0, 2.0]))
             horizon = rng.choice([np.exp(rng.uniform(np.log(0.01), np.log(400.0))), 5e-322])
-            lattice = events_module._lattice_squares(p, horizon)
+            lattice = events_module._lattice(p, horizon)
             live = rng.random(lattice[0].size) < 0.5
-            signs = lambda s: (np.zeros(s.shape[1], bool),) * 2 + (np.resize(live, s.shape[1]),)
-            ts, squares = events_module._filled(p, horizon, signs,
-                                                events_module._detection_cells(p, horizon),
-                                                *lattice)
+            read = (np.zeros(live.size, bool),) * 2 + (live,)
+            signs = lambda s: (s[0] < s[1], s[1] < s[2], s[0] > 0.5)
+            ts, squares, merged = events_module._filled(p, horizon, signs,
+                                                        events_module._detection_cells(p, horizon),
+                                                        *lattice, read)
             assert np.all(np.diff(ts) > 0.0) and set(lattice[0]) <= set(ts)
             assert np.array_equal(squares, exact_squares(ts, p))
+            # the lattice's points keep what they read, the added ones their signs
+            at = np.searchsorted(ts, lattice[0])
+            added_at = np.ones(ts.size, bool)
+            added_at[at] = False
+            assert all(np.array_equal(m[at], r) for m, r in zip(merged, read))
+            assert all(np.array_equal(m[added_at], a)
+                       for m, a in zip(merged, signs(squares[:, added_at])))
             added += ts.size - lattice[0].size
         assert added > 10000
+
+    def test_each_point_read_once(self, monkeypatch):
+        # a diagonal pair reads the margin on the lattice, then only on the
+        # grid points that _filled adds, never again on the merged grid
+        p, init, horizon = SystemParams.from_geff(5.0), InitialAmplitudes.from_ratio(7.08), 10.0
+        lattice = events_module._lattice(p, horizon)[0]
+        cells = events_module._detection_cells(p, horizon)
+        grid = np.linspace(0.0, horizon, cells + 1)
+        merged = []
+        filled = events_module._filled
+        monkeypatch.setattr(events_module, "_filled", lambda *a: merged.append(filled(*a))
+                            or merged[-1])
+        read = []
+        margin = events_module._cross_margin
+        monkeypatch.setattr(events_module, "_cross_margin", lambda pair, init, squares:
+                            read.append(np.size(squares[0])) or margin(pair, init, squares))
+        # brentq's scalar reads come after the array reads
+        found = detect_events("c1c2", init, p, horizon)
+        assert found and len(merged) == 1
+        added = merged[0][0].size - lattice.size
+        assert 0 < added and set(merged[0][0]) - set(lattice) <= set(grid)
+        assert read[:2] == [lattice.size, added] and read[2:] == [1] * len(read[2:])
 
     @pytest.mark.parametrize("horizon", [5e-322, 4e-321])
     def test_grid_step_below_the_float_range(self, horizon):
