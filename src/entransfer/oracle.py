@@ -115,6 +115,19 @@ _BERNOULLI = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0, 5.0 / 66.0,
 _PSI_WEIGHTS = tuple(b / (2 * k) for k, b in enumerate(_BERNOULLI, 1))
 
 
+# the weights of psi's and psi1's series as (9, 2) rows, for one Horner pass
+# over both
+_BOTH_WEIGHTS = np.array([_PSI_WEIGHTS, _BERNOULLI]).T
+# the ten recurrence steps and the series' origin, u + 10
+_STEPS = np.arange(11.0)
+# _mode_sums evaluates inputs of at most this many elements as one block of
+# its ten steps.  The block's temporaries pass 100 kB near 650 elements, and
+# beyond that ten passes over the input are faster (2 vCPUs, numpy 2.4):
+# at 256 roots (512 elements) the block took 125 us and the loop 155 us, at
+# 503 roots 230-370 us against 190-210 us, at 20,003 roots 11 against 4.5 ms
+_BLOCK_LIMIT = 512
+
+
 def _series(z, weights):
     """sum_k weights[k - 1] z^(2k), k = 1, 2, ..."""
     z2 = z * z
@@ -130,19 +143,42 @@ def _mode_sums(u, n):
     each to a few ulps relative: ten steps of psi(y + 1) = psi(y) + 1 / y
     and psi1(y + 1) = psi1(y) - 1 / y^2, then the difference of the
     asymptotic series at u + 10 and u + n + 10, led by log1p; nothing
-    cancels, also where u >> n."""
-    first = second = 0.0
+    cancels, also where u >> n.
+
+    Up to ``_BLOCK_LIMIT`` elements the ten steps are one (10, 2, ...)
+    block of both sums' terms, which ``np.add.reduce`` adds over its first
+    axis in step order, and the four series are one Horner pass over
+    (psi, psi1) x (u + 10, u + n + 10); larger inputs take the steps and
+    series one at a time.  Both give the same bits."""
     top = u + n
-    for j in range(10):
-        a, b = u + j, top + j
-        first = first + n / b / a
-        second = second + n * (a + b) / (b * b) / a / a
-    z1, z2 = 1.0 / (u + 10.0), 1.0 / (top + 10.0)
+    if np.size(top) <= _BLOCK_LIMIT:
+        shape = np.shape(top)
+        ends = np.empty((2,) + shape)
+        ends[0], ends[1] = u, top
+        grid = ends + _STEPS.reshape((-1,) + (1,) * ends.ndim)
+        a, b = grid[:10, 0], grid[:10, 1]
+        # the trailing axis of length 2 keeps the reduction in step order
+        # also for a single u, where numpy would sum pairwise
+        terms = np.empty((10, 2) + shape)
+        np.divide(n / b, a, out=terms[:, 0])
+        np.divide(n * (a + b) / (b * b) / a, a, out=terms[:, 1])
+        first, second = np.add.reduce(terms, axis=0)
+        z1, z2 = z = 1.0 / grid[10]
+        # psi's and psi1's series at z1 and z2
+        (psi_1, psi_2), (tri_1, tri_2) = _series(
+            z, _BOTH_WEIGHTS.reshape(_BOTH_WEIGHTS.shape + (1,) * z.ndim))
+    else:
+        first = second = 0.0
+        for j in range(10):
+            a, b = u + j, top + j
+            first = first + n / b / a
+            second = second + n * (a + b) / (b * b) / a / a
+        z1, z2 = 1.0 / (u + 10.0), 1.0 / (top + 10.0)
+        psi_1, psi_2 = _series(z1, _PSI_WEIGHTS), _series(z2, _PSI_WEIGHTS)
+        tri_1, tri_2 = _series(z1, _BERNOULLI), _series(z2, _BERNOULLI)
     step = n * z1 * z2
-    first = (first + np.log1p(n * z1) + 0.5 * step
-             + _series(z1, _PSI_WEIGHTS) - _series(z2, _PSI_WEIGHTS))
-    second = (second + step * (1.0 + 0.5 * (z1 + z2))
-              + z1 * _series(z1, _BERNOULLI) - z2 * _series(z2, _BERNOULLI))
+    first = first + np.log1p(n * z1) + 0.5 * step + psi_1 - psi_2
+    second = second + step * (1.0 + 0.5 * (z1 + z2)) + z1 * tri_1 - z2 * tri_2
     return first, second
 
 
@@ -202,10 +238,16 @@ def spectrum(p, d):
     steps; the roots next to a head pole or beyond the outer poles start
     at their interval's midpoint.  Each is then found by a rational
     two-pole model in the manner of LAPACK's dlaed4 (the base pole at its
-    own weight) inside a bisection bracket.  At the ``validate``
-    parameters 80-93 % of the roots stop one step after the seed; each
-    step evaluates f only on the roots still moving, so the cost is O(N)
-    per step and no N x N matrix is formed.
+    own weight) inside a bisection bracket.  Each pass evaluates f only on
+    the roots still moving, so it costs O(N) and no N x N matrix is
+    formed; a root's state (base pole, pole offsets, mode counts, weight,
+    far end, bracket) is one column of an array, so a pass drops the
+    roots that stop with one index.  At the 30 ``validate`` points of the
+    benchmark (g_eff = 1 .. 8, N = 500 and 1000, B = 200) the passes at
+    the midpoints, at the seeds and after one model step evaluate f on
+    all N + 3 roots (the third on all but one); 47-156 roots (5-16 %) are
+    still moving after them, 3-15 after one more pass, and at most one
+    after a third.
 
     Deflation: a head pole exactly on a mode is itself an eigenvalue, with
     no |g10> component; so is a head pole, or are all modes, whose coupling
@@ -262,55 +304,64 @@ def spectrum(p, d):
     to_e = (g * om * share / shifted)[:, None]
     log_n = math.log(nm + 2.0)
 
+    # (tau - mode) / spans: the distances to the modes below and above
+    spans = np.array([[s], [-s]])
+    any_weak = weak.any()
+    # rows of a lane's state: the base pole, lam + delta at tau = 0, the
+    # nearest modes and the heads as offsets from the base, the mode counts
+    # below and above, the base pole's weight, the offset of the interval's
+    # other end and the bisection bracket; a pass drops the lanes that stop
+    # with one index into it
+    BASE, PLUS, MODES, HEADS, COUNTS = 0, 1, slice(2, 4), slice(4, 6), slice(6, 8)
+    WEIGHT, END, BR_LO, BR_HI = 8, 9, 10, 11
+
     def frame(base):
-        """Pole offsets from ``base``, exactly 0 for the base pole, and the
-        mode counts below and above."""
+        """The state rows up to COUNTS at ``base``: pole offsets exactly 0
+        for the base pole."""
         plus_delta = base + delta                # lam + delta = plus_delta + tau
         for h, hd in zip(heads, shifted):
             plus_delta = np.where(base == h, hd, plus_delta)
-        return dict(base=base, plus_delta=plus_delta, mode_lo=mode_lo - base,
-                    mode_hi=mode_hi - base, heads=heads[:, None] - base,
-                    counts=counts)
+        return np.vstack([base, plus_delta, mode_lo - base, mode_hi - base,
+                          heads[:, None] - base, counts])
 
-    def terms(tau, fr):
-        """f, a bound on its rounding error, f', v_e, v_c and c^2 S2 at
-        lam = base + tau."""
-        sums, norm_modes = np.zeros((2, 1)), 0.0
+    def terms(tau, state):
+        """lam = base + tau, f, a bound on its rounding error, f', v_e, v_c
+        and c^2 S2 at lam."""
         if nm:
             # distances to the nearest modes below and above, in spacings
-            below, above = fr["counts"] > 0.0
-            u = np.stack([np.where(below, (tau - fr["mode_lo"]) / s, 1.0),
-                          np.where(above, (fr["mode_hi"] - tau) / s, 1.0)])
-            sums, squares = _mode_sums(u, fr["counts"])
+            u = np.where(state[COUNTS] > 0.0, (tau - state[MODES]) / spans, 1.0)
+            sums, squares = _mode_sums(u, state[COUNTS])
             norm_modes = rate / s * (squares[0] + squares[1])
+        else:
+            sums, norm_modes = np.zeros((2, 1)), 0.0
         # 1 / (lam - h+-), 0 for a head out of the secular sum
-        inverse = np.where(weak[:, None], 0.0, 1.0 / (tau - fr["heads"]))
-        if weak.any():
+        inverse = 1.0 / (tau - state[HEADS])
+        if any_weak:
+            inverse = np.where(weak[:, None], 0.0, inverse)
             v_c = np.sum(to_c * inverse, axis=0)
             v_e = np.sum(to_e * inverse, axis=0)
         else:   # one fraction: no cancellation between the two heads
-            v_c = g * (fr["plus_delta"] + tau) * inverse[0] * inverse[1]
+            v_c = g * (state[PLUS] + tau) * inverse[0] * inverse[1]
             v_e = g * om * inverse[0] * inverse[1]
-        lam = fr["base"] + tau
+        lam = state[BASE] + tau
         f = lam - rate * (sums[0] - sums[1]) - g * v_c
         f_err = 4.0 * eps * (np.abs(lam) + rate * (sums[0] + sums[1] + log_n) + np.abs(g * v_c))
         slope = 1.0 + norm_modes + np.sum(g * to_c * inverse**2, axis=0)
-        return f, f_err, slope, v_e, v_c, norm_modes
+        return lam, f, f_err, slope, v_e, v_c, norm_modes
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # evaluate at each interval's midpoint; keep the nearer pole as base
         base = np.where(bottom, hi, lo)
         half = np.where(bottom, -width / 2.0, width / 2.0)
-        f_mid, _, slope_mid, *_ = terms(half, frame(base))
+        _, f_mid, _, slope_mid, *_ = terms(half, frame(base))
         upper = ~(bottom | top) & (f_mid < 0.0)
         at_lo = ~(bottom | upper)
         base = np.where(at_lo, lo, hi)
         tau = np.where(upper, -half, half)
-        fr = frame(base)
-        fr["weight"] = np.where(at_lo, lo_weight, hi_weight)
-        fr["end"] = np.where(at_lo, hi, lo) - base
-        fr["br_lo"] = np.where(f_mid < 0.0, tau, lo - base)
-        fr["br_hi"] = np.where(f_mid < 0.0, hi - base, tau)
+        state = np.vstack([frame(base), np.where(at_lo, lo_weight, hi_weight),
+                           np.where(at_lo, hi, lo) - base,
+                           np.where(f_mid < 0.0, tau, lo - base),
+                           np.where(f_mid < 0.0, hi - base, tau)])
         if fence.any():
             # the picket-fence seed in x = tau / s, the offset from the base
             # pole in spacings: pi rate = kappa / 2, ``rest`` is the model's D,
@@ -325,24 +376,25 @@ def spectrum(p, d):
                 x = x - ((f_mid + rest * s * (x - x_mid) - np.pi * rate / np.tan(angle))
                          / (rest * s + np.pi**2 * rate / np.sin(angle) ** 2))
             seed = s * x
-            tau = np.where(fence & (seed > fr["br_lo"]) & (seed < fr["br_hi"]), seed, tau)
+            tau = np.where(fence & (seed > state[BR_LO]) & (seed < state[BR_HI]), seed, tau)
         # each pass evaluates only the lanes still moving and keeps, for each,
         # the root estimate it last evaluated with its v_e, v_c and c^2 S2
         lam, v_e, v_c, norm_modes = np.empty((4, lo.size))
         lanes = np.arange(lo.size)
         for _ in range(64):
-            f, f_err, slope, *values = terms(tau, fr)
-            lam[lanes] = fr["base"] + tau
+            lam[lanes], f, f_err, slope, *values = terms(tau, state)
             v_e[lanes], v_c[lanes], norm_modes[lanes] = values
-            br_lo = np.where(f < 0.0, tau, fr["br_lo"])
-            br_hi = np.where(f > 0.0, tau, fr["br_hi"])
+            # the bracket, narrowed in place to tau on the side of f's sign
+            br_lo, br_hi = state[BR_LO], state[BR_HI]
+            np.copyto(br_lo, tau, where=f < 0.0)
+            np.copyto(br_hi, tau, where=f > 0.0)
             # the root of the model c + w / (0 - x) + s_o / (end - x) that
             # matches f and f' at tau, with the base pole at its own weight w
             # and the rest of f' on the interval's other end, solved for the
             # offset x from the base so that a root next to the base pole
             # does not cancel
-            end = fr["end"]
-            d_b = fr["weight"] / (tau * tau)
+            end = state[END]
+            d_b = state[WEIGHT] / (tau * tau)
             d_o = np.maximum(slope - d_b, 0.0)
             qa = f + tau * d_b - (end - tau) * d_o
             qb = f * end + tau * (end + tau) * d_b - tau * (end - tau) * d_o
@@ -356,9 +408,8 @@ def spectrum(p, d):
                        | (br_hi - br_lo <= 2.0 * eps * np.abs(tau)))
             if not moving.any():
                 break
-            fr["br_lo"], fr["br_hi"] = br_lo, br_hi
-            fr = {key: value[..., moving] for key, value in fr.items()}
-            lanes, tau = lanes[moving], step[moving]
+            # compress keeps the state's rows contiguous, state[:, moving] would not
+            state, lanes, tau = state.compress(moving, axis=1), lanes[moving], step[moving]
 
     norm = np.sqrt(1.0 + v_e**2 + v_c**2 + norm_modes)
     lam = [lam]
@@ -377,6 +428,11 @@ def spectrum(p, d):
     return lam[order], np.concatenate(comps, axis=1)[:, order]
 
 
+def _check_horizon(horizon):
+    if not (np.isfinite(horizon) and horizon >= 0):
+        raise ValueError(f"horizon must be finite and non-negative, not {horizon!r}")
+
+
 def populations(p, d, horizon, samples):
     """|e00>, |c00>, |g10> and summed reservoir populations at the
     ``samples`` times ``np.linspace(0, horizon, samples)``, shape
@@ -386,28 +442,32 @@ def populations(p, d, horizon, samples):
     the reservoir holds what the three head levels do not.  The grid is
     uniform, so with m = ceil(sqrt(samples)) sample q m + r is the time
     t_qm + t_r and exp(-i lam t) factors into a coarse and a fine phase:
-    the fine cosines and sines fold into the weights v_Xj v_ej as an
-    (N + 3) x 6m block, and one product of it with the cosines and one
-    with the sines of the ceil(samples / m) coarse rows give the real and
-    imaginary parts of every amplitude by angle addition.  That is
-    O(sqrt(samples) N) cosines and sines and O(samples N) BLAS work.
+    the fine cosines and sines fold into the weights v_Xj v_ej as a
+    (3, N + 3, 2m) block, head X outermost, and one batched product of it
+    with the cosines and one with the sines of the ceil(samples / m)
+    coarse rows give the real and imaginary parts of every amplitude by
+    angle addition.  That is O(sqrt(samples) N) cosines and sines and
+    O(samples N) BLAS work.  Raises ValueError unless ``horizon`` is
+    finite and >= 0 and ``samples`` an integer >= 1.
     """
+    _check_horizon(horizon)
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise ValueError(f"samples must be an integer >= 1, not {samples!r}")
     m = math.isqrt(samples - 1) + 1
     step = horizon / (samples - 1) if samples > 1 else 0.0
     lam, comps = spectrum(p, d)
-    weights = (comps * comps[0]).T
     fine = np.outer(lam, step * np.arange(m))
-    # (N + 3, 6m): columns 3r + X hold cos(lam t_r) v_X v_e, then 3m + 3r + X
-    # the same with sin
-    folded = (np.concatenate([np.cos(fine), np.sin(fine)], axis=1)[:, :, None]
-              * weights[:, None, :]).reshape(lam.size, 6 * m)
+    # (3, N + 3, 2m): for head X, column r holds cos(lam t_r) v_X v_e and
+    # column m + r the same with sin
+    folded = ((comps * comps[0])[:, :, None]
+              * np.concatenate([np.cos(fine), np.sin(fine)], axis=1))
     coarse = np.outer(step * m * np.arange(-(-samples // m)), lam)
-    cos_part = np.cos(coarse) @ folded
+    cos_part = np.cos(coarse) @ folded          # (3, ceil(samples / m), 2m)
     sin_part = np.sin(coarse) @ folded
-    re = cos_part[:, :3 * m] - sin_part[:, 3 * m:]
-    im = sin_part[:, :3 * m] + cos_part[:, 3 * m:]
-    head = (re**2 + im**2).reshape(-1, 3)[:samples]
-    return np.column_stack([head, 1.0 - head.sum(axis=1)])
+    re = cos_part[..., :m] - sin_part[..., m:]
+    im = sin_part[..., :m] + cos_part[..., m:]
+    head = (re**2 + im**2).reshape(3, -1)[:, :samples]
+    return np.column_stack([head.T, 1.0 - head.sum(axis=0)])
 
 
 # --- Lindblad route ---------------------------------------------------------
@@ -511,8 +571,7 @@ def discretized_errors(p, d, horizon):
     whose coupling c gives (c horizon)^2 <= eps moves them by less than
     the rounding the oracle already carries, and is deflated quietly.
     """
-    if not (np.isfinite(horizon) and horizon >= 0):
-        raise ValueError("horizon must be finite and non-negative")
+    _check_horizon(horizon)
     require_memory(_MODE_BYTES * (d.n_modes + 3.0),
                    f"the oracle at {d.n_modes} reservoir modes")
     _, _, share, weak, floor = _heads(p, d.offsets)

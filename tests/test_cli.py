@@ -27,6 +27,11 @@ from entransfer.errors import ConfigError
 from entransfer.events import PAIR_LABELS, EventRecord
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+# the error columns of validate at every point of the benchmark's oracle
+# workload, as the benchmark records them
+with open(os.path.join(os.path.dirname(__file__), os.pardir, "bench",
+                       "oracle_reference.json")) as _fh:
+    BENCH_ORACLE = json.load(_fh)
 
 # every closed-form subcommand and series preset, and the coupling and state
 # flags they no longer take: --geff and --ratio give both
@@ -317,6 +322,18 @@ class TestExitCodes:
         row = out.read_text().strip().split("\n")[1].split(",")
         expect = (0.00273711398212, 0.0010305563434, 0.000888223322413)
         for got, want in zip(row[:3], expect):
+            assert float(got) == pytest.approx(want, rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("point", BENCH_ORACLE["values"])
+    def test_validate_at_bench_points(self, point, capsys):
+        # every (g_eff, N) of the benchmark's oracle workload, to its
+        # tolerance (ORACLE_RTOL in bench/workloads.py)
+        geff, n_modes = point.split(":")
+        assert main(["validate", "--geff", geff, "--n-modes", n_modes,
+                     "--bandwidth", "200"]) == 0
+        header, row = (line.split(",") for line in capsys.readouterr().out.strip().split("\n"))
+        assert header[:3] == BENCH_ORACLE["columns"]
+        for got, want in zip(row[:3], BENCH_ORACLE["values"][point]):
             assert float(got) == pytest.approx(want, rel=1e-9, abs=0)
 
     def test_validate_oversized_reservoir(self, capsys):

@@ -429,6 +429,43 @@ class TestSecularSpectrum:
             assert got.shape == counts.shape
             assert np.all(np.abs(got - want) <= 4 * EPS * np.abs(want))
 
+    def test_mode_sums_block_gives_the_loops_bits(self):
+        # spectrum's full passes take the step-by-step loop and its later
+        # passes the block; both must give the same bits, so column slices
+        # small enough for the block equal the loop's result on the whole,
+        # down to single columns and single elements
+        limit = oracle_module._BLOCK_LIMIT
+        rng = np.random.default_rng(34)
+        below = rng.integers(0, 2001, size=limit).astype(float)
+        counts = np.stack([below, 2000.0 - below])
+        u = rng.uniform(1e-3, 1.0, size=counts.shape) * 10.0 ** rng.integers(-3, 4, size=counts.shape)
+        assert u.size > limit
+        width = limit // 2
+        whole = _mode_sums(u, counts)
+        for cols in [slice(start, start + width) for start in range(0, limit, width)] + [
+                slice(0, 1), slice(limit - 1, limit)]:
+            assert u[:, cols].size <= limit
+            for got, want in zip(_mode_sums(u[:, cols], counts[:, cols]), whole):
+                assert np.array_equal(got, want[:, cols])
+        flat = u.ravel()
+        for n in (0, 1, 3, 50, 2000):
+            whole = _mode_sums(flat, n)
+            for part in [slice(start, start + limit) for start in range(0, flat.size, limit)] + [
+                    slice(7, 8)]:
+                for got, want in zip(_mode_sums(flat[part], n), whole):
+                    assert np.array_equal(got, want[part])
+
+    @pytest.mark.parametrize("horizon, samples, message", [
+        (-1.0, 201, "horizon"), (np.nan, 201, "horizon"), (np.inf, 201, "horizon"),
+        (-np.inf, 201, "horizon"), (10.0, 0, "samples"), (10.0, -5, "samples"),
+        (10.0, 201.0, "samples"), (10.0, True, "samples"), (10.0, "201", "samples")])
+    def test_populations_rejects_bad_arguments(self, horizon, samples, message):
+        p = SystemParams.from_geff(5.0, Delta=1e4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")           # no numpy RuntimeWarning first
+            with pytest.raises(ValueError, match=f"^{message} must be"):
+                populations(p, ReservoirDiscretization(10, 200.0), horizon, samples)
+
 
 class TestCollectiveChain:
     D = ReservoirDiscretization(n_modes=64, bandwidth=40.0)
